@@ -6,7 +6,8 @@ probabilities and Shannon report), ``game`` (guess-your-neighbour score),
 
 Exit status: 0 on success, 1 when a validation check fails, 2 on usage or
 file-parse errors.  Every output document embeds a run manifest (command,
-config echo, library version, RNG generator and seed, wall-clock duration).
+config echo, library version, RNG generator and seed, duration on the
+monotonic clock).
 The environment variable ``PROCMAT_OUT_DIR`` sets the directory for default
 output filenames.
 """
@@ -159,7 +160,7 @@ def _manifest(command: str, config: dict, started: float, seed=None) -> dict:
         "version": __version__,
         "config": config,
         "rng": {"generator": GENERATOR_NAME if seed is not None else None, "seed": seed},
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.perf_counter() - started, 3),
     }
 
 
@@ -194,7 +195,7 @@ def _entropy_quantities(report) -> dict:
 
 
 def cmd_validate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     process, echo = _resolve_process(args)
     report = process.report
     manifest = _manifest("validate", echo, started)
@@ -233,7 +234,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     process, echo = _resolve_process(args)
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
     inputs, in_echo = _resolve_inputs(args)
@@ -302,7 +303,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_game(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     process, echo = _resolve_process(args)
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
     if not process.valid:
@@ -351,7 +352,7 @@ def _objective_of_process(cfg: OptimizerConfig, process) -> float:
 
 
 def cmd_optimize(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
     inputs, in_echo = _resolve_inputs(args)
     cfg = OptimizerConfig(

@@ -7,14 +7,18 @@ instruments and input distribution.  Because the distribution is affine in
 every coordinate, entropy objectives are concave along coordinate lines, and
 the set of feasible values of one coordinate (both fixed-order blocks PSD) is
 a closed interval: a line step is an exact one-dimensional concave
-maximization over an interval located by bisection.
+maximization over an interval.  Each block is I/4 plus a real combination of
+Pauli words P (P^2 = I, trace 0), so along a coordinate line the block is the
+pencil A + sP, and the interval's endpoints are eigenvalues of one 8 x 8
+Hermitian matrix (see :func:`_line_interval`): no search is involved.
 
 Coordinate lines along which the distribution is exactly constant cannot be
-ranked by the objective.  Before the ascent proper, such coordinates are
-moved to the point maximizing the block's smallest eigenvalue (also concave
-along a line), so unranked directions do not consume feasibility slack that
-the ranked ones need; during the ascent a coordinate moves only on strict
-improvement.
+ranked by the objective.  They are read off the affine joint map (a zero
+increment row, or a block of weight 0).  Before the ascent proper, such
+coordinates are moved to the point maximizing the block's smallest
+eigenvalue (also concave along a line), so unranked directions do not
+consume feasibility slack that the ranked ones need; during the ascent a
+coordinate moves only on strict improvement.
 
 Restarts are independent: restart i draws its start from a generator seeded
 with seed + i, so results are reproducible and independent of execution
@@ -46,14 +50,15 @@ GENERATOR_NAME = "numpy PCG64 (default_rng)"
 DEFAULT_SEED = 200
 
 OBJECTIVES = ("H_AB", "H_A", "H_B", "H_A_given_B", "I_AB")
-_CONCAVE_OBJECTIVES = frozenset({"H_AB", "H_A", "H_B"})
+# conditional entropy is concave in the joint distribution too
+_CONCAVE_OBJECTIVES = frozenset({"H_AB", "H_A", "H_B", "H_A_given_B"})
 
 N_COORDS = 73  # q plus 36 + 36 block coefficients
 
-#: any feasible block coefficient obeys |c| <= 1/4 (trace pairing bound),
-#: so this value brackets the infeasible side of every bisection
-_COEFF_BRACKET = 0.2501
-_BISECTION_STEPS = 31  # 0.51 / 2^31 < 5e-10: endpoint accuracy ~1e-9
+#: interval endpoints put the block's smallest eigenvalue at this fraction
+#: of -psd_tol: strictly inside the tolerance, so an endpoint still reads as
+#: feasible after roundoff
+_ENDPOINT_SLACK = 0.5
 
 _INIT_SCALE = 0.05
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -105,12 +110,8 @@ _WORDS_A, _WORDS_B = _block_word_stacks()
 _EYE8 = np.eye(8, dtype=complex)
 
 
-def _block_a_matrix(c_flat: np.ndarray) -> np.ndarray:
-    return _EYE8 / 4.0 + np.tensordot(c_flat, _WORDS_A, axes=(0, 0))
-
-
-def _block_b_matrix(cp_flat: np.ndarray) -> np.ndarray:
-    return _EYE8 / 4.0 + np.tensordot(cp_flat, _WORDS_B, axes=(0, 0))
+def _block_matrix(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
+    return _EYE8 / 4.0 + np.tensordot(coeffs, words, axes=(0, 0))
 
 
 def _min_eig(matrix: np.ndarray) -> float:
@@ -240,6 +241,14 @@ class _Engine:
         # second-block word sigma_i^{A_I} I^{A_O} sigma_a^{B_I} sigma_j^{B_O}
         return np.einsum("ay,by->ab", self._wa[i, 0], self._tb[a, j])
 
+    def is_flat(self, coord: int, q: float) -> bool:
+        """Whether moving block coordinate ``coord`` leaves the joint
+        distribution unchanged: its increment row is zero, or its block's
+        weight (q for the first block, 1 - q for the second) is 0."""
+        if coord <= 36:
+            return q == 0.0 or not self.inc_a[coord - 1].any()
+        return q == 1.0 or not self.inc_b[coord - 37].any()
+
     def word_increment_full(self, word: str) -> np.ndarray:
         """Joint increment of an arbitrary 4-letter product word."""
         idx = ["IXYZ".index(ch) for ch in word.upper()]
@@ -305,42 +314,56 @@ class _State:
             self.cp[coord - 37] = value
 
 
-def _coord_block(state: _State, coord: int):
-    """(coefficient array, word stack, index) of the block a coordinate acts on."""
-    if coord == 0:
-        return None
+def _coord_line(state: _State, coord: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(block matrix at the incumbent, the coordinate's Pauli word, incumbent
+    value) of a block coordinate: the block along the line is A + (t - t0) P."""
     if coord <= 36:
-        return state.c, _WORDS_A, coord - 1
-    return state.cp, _WORDS_B, coord - 37
+        coeffs, words, idx = state.c, _WORDS_A, coord - 1
+    else:
+        coeffs, words, idx = state.cp, _WORDS_B, coord - 37
+    return _block_matrix(coeffs, words), words[idx], float(coeffs[idx])
 
 
-def _block_min_eig_at(coeffs: np.ndarray, words: np.ndarray, idx: int, value: float) -> float:
-    trial = coeffs.copy()
-    trial[idx] = value
-    return _min_eig(_EYE8 / 4.0 + np.tensordot(trial, words, axes=(0, 0)))
+def _line_interval(
+    block: np.ndarray, word: np.ndarray, t0: float, psd_tol: float, name: str
+) -> tuple[float, float]:
+    """Closed form of the feasible interval of the line A + (t - t0) P.
+
+    With B = A + tau I (tau = _ENDPOINT_SLACK * psd_tol), the endpoints are
+    the roots of det(B + sP) = det(P) det(PB + sI), i.e. s = -nu for the
+    eigenvalues nu of PB.  Write B = G G^dagger with G = V diag(sqrt(lam + tau))
+    from one eigh of A; PB has the eigenvalues of the Hermitian G^dagger P G,
+    the inverse of the congruence B^{-1/2} P B^{-1/2}, which by Sylvester's
+    law of inertia has P's four positive and four negative eigenvalues.  The
+    ascending nu_1..nu_8 then split 4/4 around 0, and the feasible interval
+    is t0 + [-nu_5, -nu_4].
+
+    No inverse is taken, so a boundary incumbent (B singular, the normal
+    state after an accepted endpoint move) stays in closed form: its null
+    vector v adds nu = 0, which sorts 5th when v^dagger P v > 0 (the feasible
+    side is s >= 0) and 4th when v^dagger P v < 0, by the inertia of P's
+    compression to the range of B.  Eigenvalues of B below 0 (an incumbent
+    between -psd_tol and -tau) are clamped to 0, which moves the endpoints'
+    smallest eigenvalue by at most psd_tol - tau.  The interval always
+    contains t0.
+    """
+    lam, vecs = np.linalg.eigh(block)
+    if lam[0] < -psd_tol:
+        raise InfeasibleParamsError(name, float(lam[0]))
+    root = np.sqrt(np.maximum(lam + _ENDPOINT_SLACK * psd_tol, 0.0))
+    compressed = root[:, None] * (vecs.conj().T @ word @ vecs) * root[None, :]
+    nu = np.linalg.eigvalsh(compressed)
+    return (t0 - max(float(nu[4]), 0.0), t0 - min(float(nu[3]), 0.0))
+
+
+def _block_name(coord: int) -> str:
+    return "A<B" if coord <= 36 else "B<A"
 
 
 def _interval_of(state: _State, coord: int, psd_tol: float) -> tuple[float, float]:
     if coord == 0:
         return (0.0, 1.0)
-    coeffs, words, idx = _coord_block(state, coord)
-    t0 = float(coeffs[idx])
-    if _block_min_eig_at(coeffs, words, idx, t0) < -psd_tol:
-        raise InfeasibleParamsError(
-            "A<B" if coord <= 36 else "B<A",
-            _block_min_eig_at(coeffs, words, idx, t0),
-        )
-    ends = []
-    for sign in (-1.0, 1.0):
-        lo, hi = t0, sign * _COEFF_BRACKET
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if _block_min_eig_at(coeffs, words, idx, mid) >= -psd_tol:
-                lo = mid
-            else:
-                hi = mid
-        ends.append(lo)
-    return (ends[0], ends[1])
+    return _line_interval(*_coord_line(state, coord), psd_tol, _block_name(coord))
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -397,7 +420,8 @@ def random_feasible_init(seed: int, psd_tol: float = 1e-10) -> SepParams:
     c = rng.normal(scale=_INIT_SCALE, size=36)
     cp = rng.normal(scale=_INIT_SCALE, size=36)
     while (
-        _min_eig(_block_a_matrix(c)) < -psd_tol or _min_eig(_block_b_matrix(cp)) < -psd_tol
+        _min_eig(_block_matrix(c, _WORDS_A)) < -psd_tol
+        or _min_eig(_block_matrix(cp, _WORDS_B)) < -psd_tol
     ):
         c *= 0.5
         cp *= 0.5
@@ -410,8 +434,9 @@ def feasible_interval(
     """The closed interval of values of one coordinate keeping the search
     point feasible (its block PSD; q confined to [0, 1]).
 
-    Endpoints are located by bisection on the block's smallest eigenvalue to
-    about 1e-9 absolute accuracy.
+    Endpoints are closed-form (one eigh and one eigvalsh of 8 x 8 matrices):
+    the block's smallest eigenvalue there is -psd_tol / 2 up to roundoff
+    (below 1e-15), so they re-check as feasible at ``psd_tol``.
     """
     if not 0 <= coord < N_COORDS:
         raise ValueError(f"coordinate index out of range: {coord}")
@@ -426,11 +451,11 @@ def line_maximize(
 ) -> tuple[float, float]:
     """Maximize the objective along one coordinate over ``interval``.
 
-    Returns ``(value_at_max, argmax)``.  For entropy objectives the line
-    function is concave (the distribution is affine in the coordinate), so
-    golden-section search is exact to ``line_tol``; for the mutual-information
-    and conditional-entropy objectives a coarse grid seeds the golden stage
-    and no global-optimality guarantee is made.
+    Returns ``(value_at_max, argmax)``.  For the entropy objectives,
+    conditional entropy included, the line function is concave (the
+    distribution is affine in the coordinate), so golden-section search is
+    exact to ``line_tol``; for the mutual-information objective a coarse grid
+    seeds the golden stage and no global-optimality guarantee is made.
     """
     cfg = cfg or OptimizerConfig()
     lo, hi = interval
@@ -453,34 +478,22 @@ def line_maximize(
     return best_v, best_t
 
 
-def _center_unranked(state: _State, engine: _Engine, value, cfg: OptimizerConfig):
+def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig):
     """Move objective-flat coordinates to their maximum-slack points.
 
     Iterated until the flat set stops moving; each accepted move strictly
     increases the block's smallest eigenvalue, and the objective value is
     unchanged by construction.
     """
-    coords = [k for k in cfg.active_coords() if k != 0]
+    coords = [k for k in cfg.active_coords() if k != 0 and engine.is_flat(k, state.q)]
     for _ in range(50):
         moved = 0.0
         for coord in coords:
-            lo, hi = _interval_of(state, coord, cfg.psd_tol)
-            t0 = state.get(coord)
-
-            def f(t: float) -> float:
-                old = state.get(coord)
-                state.set(coord, t)
-                out = value(engine.joint_of(engine.joint_flat(state.q, state.c, state.cp)))
-                state.set(coord, old)
-                return out
-
-            v0 = f(t0)
-            if not (f(lo) == v0 and f(hi) == v0 and f(0.5 * (lo + hi)) == v0):
-                continue
-            coeffs, words, idx = _coord_block(state, coord)
+            block, word, t0 = _coord_line(state, coord)
+            lo, hi = _line_interval(block, word, t0, cfg.psd_tol, _block_name(coord))
 
             def slack(t: float) -> float:
-                return _block_min_eig_at(coeffs, words, idx, t)
+                return _min_eig(block + (t - t0) * word)
 
             ts, vs = _golden_max(slack, lo, hi, cfg.line_tol)
             if vs > slack(t0):
@@ -494,15 +507,15 @@ def _ascend(init: SepParams, cfg: OptimizerConfig) -> tuple[SepParams, float, in
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
     value = _objective_fn(cfg.objective)
     state = _State(init)
-    eig_a = _min_eig(_block_a_matrix(state.c))
-    eig_b = _min_eig(_block_b_matrix(state.cp))
+    eig_a = _min_eig(_block_matrix(state.c, _WORDS_A))
+    eig_b = _min_eig(_block_matrix(state.cp, _WORDS_B))
     if eig_a < -cfg.psd_tol:
         raise InfeasibleParamsError("A<B", eig_a)
     if eig_b < -cfg.psd_tol:
         raise InfeasibleParamsError("B<A", eig_b)
 
     concave = cfg.objective in _CONCAVE_OBJECTIVES
-    _center_unranked(state, engine, value, cfg)
+    _center_unranked(state, engine, cfg)
     current = value(engine.joint_of(engine.joint_flat(state.q, state.c, state.cp)))
     trace = [current]
     sweeps = 0
@@ -510,6 +523,8 @@ def _ascend(init: SepParams, cfg: OptimizerConfig) -> tuple[SepParams, float, in
         sweeps += 1
         delta = 0.0
         for coord in cfg.active_coords():
+            if coord != 0 and engine.is_flat(coord, state.q):
+                continue  # a constant line cannot strictly improve
             lo, hi = _interval_of(state, coord, cfg.psd_tol)
             t0 = state.get(coord)
 
@@ -549,8 +564,8 @@ def _restricted_init(seed: int, cfg: OptimizerConfig) -> SepParams:
     """Random start over the active coordinates only, others held at base."""
     base = cfg.base_params if cfg.base_params is not None else SepParams.zeros()
     state = _State(base)
-    eig_a = _min_eig(_block_a_matrix(state.c))
-    eig_b = _min_eig(_block_b_matrix(state.cp))
+    eig_a = _min_eig(_block_matrix(state.c, _WORDS_A))
+    eig_b = _min_eig(_block_matrix(state.cp, _WORDS_B))
     if eig_a < -cfg.psd_tol:
         raise InfeasibleParamsError("A<B", eig_a)
     if eig_b < -cfg.psd_tol:
@@ -565,8 +580,8 @@ def _restricted_init(seed: int, cfg: OptimizerConfig) -> SepParams:
         for k, value in zip(coeff_coords, draws):
             state.set(k, value)
         if (
-            _min_eig(_block_a_matrix(state.c)) >= -cfg.psd_tol
-            and _min_eig(_block_b_matrix(state.cp)) >= -cfg.psd_tol
+            _min_eig(_block_matrix(state.c, _WORDS_A)) >= -cfg.psd_tol
+            and _min_eig(_block_matrix(state.cp, _WORDS_B)) >= -cfg.psd_tol
         ):
             return state.to_params()
         draws = draws * 0.5
@@ -621,6 +636,8 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
 # ---------------------------------------------------------------------------
 
 _FEIX_GRID_STEP = 0.01
+#: the eps and q brackets are at most 1.0001 wide: 1.0001 / 2^31 < 5e-10
+_FEIX_BISECTION_STEPS = 31
 
 
 class _FeixEngine:
@@ -692,7 +709,7 @@ def feix_maximize(
         lo, hi = 0.0, 1.0001
         if eng.min_eig(q, lo) < -cfg.psd_tol:
             return -1.0
-        for _ in range(_BISECTION_STEPS):
+        for _ in range(_FEIX_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             if eng.min_eig(q, mid) >= -cfg.psd_tol:
                 lo = mid
@@ -704,7 +721,7 @@ def feix_maximize(
         ends = []
         for sign in (-1.0, 1.0):
             lo, hi = best_q, 0.5 + sign * 0.5001
-            for _ in range(_BISECTION_STEPS):
+            for _ in range(_FEIX_BISECTION_STEPS):
                 mid = 0.5 * (lo + hi)
                 if 0.0 <= mid <= 1.0 and eng.min_eig(mid, e) >= -cfg.psd_tol:
                     lo = mid

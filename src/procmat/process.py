@@ -53,6 +53,11 @@ class InfeasibleParamsError(ValueError):
             f"block {block} is not positive semidefinite: min eigenvalue {min_eig:.3e}"
         )
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so the error crosses a
+        # process-pool boundary intact
+        return type(self), (self.block, self.min_eig)
+
 
 @dataclass(frozen=True)
 class ProcessMatrix:

@@ -82,6 +82,20 @@ def ocb_matrix():
     return (word_matrix("IIII") + (word_matrix("ZZZI") + word_matrix("ZIXX")) / np.sqrt(2)) / 4
 
 
+_WORD_MATRICES = {}
+
+
+def block_matrix(words, coeffs):
+    """I/4 + sum_k coeffs[k] word_k on the four qubits (16 x 16)."""
+    out = np.eye(16, dtype=complex) / 4
+    for word, value in zip(words, coeffs):
+        if value != 0.0:
+            if word not in _WORD_MATRICES:
+                _WORD_MATRICES[word] = word_matrix(word)
+            out = out + value * _WORD_MATRICES[word]
+    return out
+
+
 def charpoly_min_eig(matrix):
     """Smallest eigenvalue via Faddeev-LeVerrier characteristic polynomial.
 
@@ -109,3 +123,24 @@ def shannon_bits(p):
     p = np.asarray(p, dtype=float).ravel()
     p = p[p > 1e-15]
     return float(-(p * np.log2(p)).sum())
+
+
+def bisect_interval(block_at, t0, tol, bracket=0.2501, steps=31):
+    """Feasible interval of one coordinate by bisection on the smallest
+    eigenvalue: ``block_at(t)`` is the block with the coordinate set to t, and
+    each endpoint is the last point found with smallest eigenvalue >= -tol.
+
+    Any feasible block coefficient obeys |c| <= 1/4, so ``bracket`` is on the
+    infeasible side; 0.51 / 2^31 < 5e-10 bounds the endpoint error.
+    """
+    ends = []
+    for sign in (-1.0, 1.0):
+        lo, hi = t0, sign * bracket
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if np.linalg.eigvalsh(block_at(mid))[0] >= -tol:
+                lo = mid
+            else:
+                hi = mid
+        ends.append(lo)
+    return ends[0], ends[1]

@@ -66,6 +66,15 @@ class TestValidate:
         assert len(doc["checks"]) == 5
         assert doc["manifest"]["command"] == "validate"
 
+    def test_duration_survives_backward_clock_step(self, capsys, monkeypatch):
+        import time
+
+        wall = iter(range(10**6, 0, -1000))
+        monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+        code, out, _ = run_cli(capsys, "validate", "ocb", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["manifest"]["duration_s"] >= 0
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["validate", "nonsense"])

@@ -5,6 +5,7 @@ from procmat.instruments import gyni_strategy
 from procmat.optimizer import (
     N_COORDS,
     OptimizerConfig,
+    _Engine,
     coord_name,
     coordinate_ascent,
     feasible_interval,
@@ -14,14 +15,16 @@ from procmat.optimizer import (
     random_feasible_init,
 )
 from procmat.process import (
+    SEP_WORDS_AB,
+    SEP_WORDS_BA,
     InfeasibleParamsError,
     SepParams,
     sep_feasibility,
     separable_from_params,
 )
-from procmat.stats import cond_probs, entropies, joint_dist
+from procmat.stats import InputDist, cond_probs, entropies, joint_dist
 
-from oracles import gyni_ops, naive_cond_probs
+from oracles import bisect_interval, block_matrix, gyni_ops, naive_cond_probs
 
 # coordinate indices used repeatedly: 0 is q, then the first block's
 # coefficients in (alpha, i, j) lexicographic order, then the second block's
@@ -112,6 +115,90 @@ class TestFeasibleInterval:
             feasible_interval(SepParams(0.5, c, np.zeros((3, 4, 3))), COORD_C_0ZZ)
 
 
+class TestIntervalContract:
+    """Closed-form endpoints against the bisection oracle on 16 x 16 blocks."""
+
+    PSD_TOL = 1e-10
+
+    @staticmethod
+    def oracle(p, coord):
+        def block_at(t):
+            trial = _with_coord(p, coord, t)
+            if coord <= 36:
+                return block_matrix(SEP_WORDS_AB, trial.c.ravel())
+            return block_matrix(SEP_WORDS_BA, trial.c_prime.ravel())
+
+        return bisect_interval(block_at, _coord_value(p, coord), TestIntervalContract.PSD_TOL)
+
+    @staticmethod
+    def block_eig(p, coord):
+        eig_ab, eig_ba = sep_feasibility(p)
+        return eig_ab if coord <= 36 else eig_ba
+
+    def test_interior_endpoints_match_bisection(self, rng):
+        for seed in range(4):
+            p = random_feasible_init(seed)
+            for coord in rng.choice(np.arange(1, N_COORDS), size=5, replace=False):
+                lo, hi = feasible_interval(p, int(coord), self.PSD_TOL)
+                ref_lo, ref_hi = self.oracle(p, int(coord))
+                assert abs(lo - ref_lo) <= 1e-9 and abs(hi - ref_hi) <= 1e-9
+
+    def test_boundary_incumbent_interval_contains_it(self, rng):
+        # an accepted endpoint move leaves the block singular up to the
+        # endpoint slack; the next intervals in that block must keep the point
+        for seed in range(4):
+            p = random_feasible_init(100 + seed)
+            for coord in (COORD_C_0ZZ, 20, COORD_CP_Z0X, 60):
+                same_block = range(1, 37) if coord <= 36 else range(37, N_COORDS)
+                second = int(rng.choice([k for k in same_block if k != coord]))
+                for end in feasible_interval(p, coord, self.PSD_TOL):
+                    edge = _with_coord(p, coord, end)
+                    for probe in (coord, second):
+                        lo, hi = feasible_interval(edge, probe, self.PSD_TOL)
+                        assert lo <= _coord_value(edge, probe) <= hi
+
+    def test_endpoints_recheck_feasible(self, rng):
+        for seed in range(4):
+            p = random_feasible_init(200 + seed)
+            for coord in rng.choice(np.arange(1, N_COORDS), size=4, replace=False):
+                coord = int(coord)
+                for end in feasible_interval(p, coord, self.PSD_TOL):
+                    edge = _with_coord(p, coord, end)
+                    assert self.block_eig(edge, coord) >= -self.PSD_TOL
+                    # from the boundary point, along the same coordinate
+                    for again in feasible_interval(edge, coord, self.PSD_TOL):
+                        trial = _with_coord(edge, coord, again)
+                        assert self.block_eig(trial, coord) >= -self.PSD_TOL
+
+    def test_incumbent_below_endpoint_slack(self):
+        # feasible at psd_tol but past the level endpoints are placed at:
+        # four block eigenvalues at -0.8 psd_tol
+        p = _with_coord(SepParams.zeros(), COORD_C_0ZZ, 0.25 + 0.8 * self.PSD_TOL)
+        for coord in (COORD_C_0ZZ, 1, 18, 36):
+            lo, hi = feasible_interval(p, coord, self.PSD_TOL)
+            assert lo <= _coord_value(p, coord) <= hi
+            for end in (lo, hi):
+                assert self.block_eig(_with_coord(p, coord, end), coord) >= -self.PSD_TOL
+
+
+class TestFlatCoordinates:
+    def engine(self):
+        return _Engine(gyni_strategy("A"), gyni_strategy("B"), InputDist.uniform())
+
+    def test_builtin_strategy_ranks_eight_coordinates(self):
+        engine = self.engine()
+        ranked = {coord_name(k) for k in range(1, N_COORDS) if not engine.is_flat(k, 0.5)}
+        assert ranked == {
+            "c_0zz", "c_xxz", "c_yyz", "c_zzz", "cp_z0z", "cp_zxx", "cp_zyy", "cp_zzz",
+        }
+
+    def test_zero_weight_block_is_flat(self):
+        engine = self.engine()
+        assert all(engine.is_flat(k, 0.0) for k in range(1, 37))
+        assert all(engine.is_flat(k, 1.0) for k in range(37, N_COORDS))
+        assert not engine.is_flat(COORD_C_0ZZ, 1.0)
+
+
 def _coord_value(p, coord):
     if coord == 0:
         return p.q
@@ -171,11 +258,14 @@ class TestLineMaximize:
 
     def test_result_at_least_endpoints_and_incumbent(self):
         p = random_feasible_init(21)
-        for coord in (0, 5, COORD_C_0ZZ, 44):
-            interval = feasible_interval(p, coord)
-            value, argmax = line_maximize(p, coord, interval)
-            for probe in (interval[0], interval[1], _coord_value(p, coord)):
-                assert value >= _objective_at(_with_coord(p, coord, probe)) - 1e-12
+        for objective in ("H_AB", "H_A_given_B"):
+            cfg = OptimizerConfig(objective=objective)
+            for coord in (0, 5, COORD_C_0ZZ, 44):
+                interval = feasible_interval(p, coord)
+                value, argmax = line_maximize(p, coord, interval, cfg)
+                for probe in (interval[0], interval[1], _coord_value(p, coord)):
+                    probe_value = _objective_at(_with_coord(p, coord, probe), objective)
+                    assert value >= probe_value - 1e-12
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -236,6 +326,22 @@ class TestMultistart:
         assert result.best_value == value
         assert result.records[0].sweeps == sweeps
         np.testing.assert_array_equal(result.best_params.c, params.c)
+
+    def test_infeasible_base_params_same_error_for_any_jobs(self):
+        c = np.zeros((4, 3, 3))
+        c[0, 2, 2] = 0.3
+        cfg = OptimizerConfig(
+            restarts=2,
+            coords=(COORD_CP_Z0X,),
+            base_params=SepParams(0.5, c, np.zeros((3, 4, 3))),
+        )
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(InfeasibleParamsError) as info:
+                multistart(cfg, jobs=jobs)
+            errors.append((info.value.block, info.value.min_eig))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "A<B"
 
     def test_records_cover_consecutive_seeds(self):
         cfg = small_cfg(restarts=4, seed=50)
