@@ -30,13 +30,7 @@ from .instruments import (
     validate_instrument,
 )
 from .operators import from_pauli_map
-from .optimizer import (
-    GENERATOR_NAME,
-    OBJECTIVES,
-    OptimizerConfig,
-    feix_maximize,
-    multistart,
-)
+from .optimizer import GENERATOR_NAME, OptimizerConfig, feix_maximize, multistart
 from .process import (
     FeixParams,
     InfeasibleParamsError,
@@ -47,12 +41,13 @@ from .process import (
     separable_from_params,
 )
 from .stats import (
+    OBJECTIVES,
     InputDist,
     cond_probs,
-    entropies,
     game_success,
     joint_dist,
     joint_to_csv,
+    objective,
     table_to_csv,
 )
 
@@ -142,8 +137,10 @@ def _resolve_inputs(args):
             probs = np.zeros((2, 2))
             for key, value in data.items():
                 key = str(key)
-                if len(key) != 2 or not key.isdigit():
-                    raise FileFormatError(f"{args.inputs}: bad input key {key!r}")
+                if len(key) != 2 or not set(key) <= {"0", "1"}:
+                    raise FileFormatError(
+                        f"{args.inputs}: bad input key {key!r}: expected 'xy' with x, y in 0, 1"
+                    )
                 probs[int(key[0]), int(key[1])] = float(value)
         else:
             raise FileFormatError(f"{args.inputs}: expected a list or object")
@@ -177,16 +174,6 @@ def _csv_comment_manifest(manifest: dict) -> str:
 
 def _g6(value: float) -> str:
     return f"{value:.6g}"
-
-
-def _entropy_quantities(report) -> dict:
-    return {
-        "H_AB": report.h_ab,
-        "H_A": report.h_a,
-        "H_B": report.h_b,
-        "H_A_given_B": report.h_a_given_b,
-        "I_AB": report.i_ab,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +232,7 @@ def cmd_entropy(args) -> int:
         return 1
     table = cond_probs(process, ins_a, ins_b)
     joint = joint_dist(table, inputs)
-    quantities = _entropy_quantities(entropies(joint))
+    quantities = {name: objective(name, joint) for name in OBJECTIVES}
     manifest = _manifest("entropy", {**echo, **ins_echo, **in_echo}, started)
     if args.format == "json":
         doc = {
@@ -347,8 +334,7 @@ def _default_out_path(name: str) -> Path:
 
 def _objective_of_process(cfg: OptimizerConfig, process) -> float:
     table = cond_probs(process, cfg.instrument_a, cfg.instrument_b)
-    report = entropies(joint_dist(table, cfg.inputs))
-    return _entropy_quantities(report)[cfg.objective]
+    return objective(cfg.objective, joint_dist(table, cfg.inputs))
 
 
 def cmd_optimize(args) -> int:

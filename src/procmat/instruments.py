@@ -185,6 +185,8 @@ def instrument_from_pauli_maps(
     if party not in PARTY_LABELS:
         raise ValueError(f"party must be one of {sorted(PARTY_LABELS)}, got {party!r}")
     labels = PARTY_LABELS[party]
+    if not isinstance(data, Mapping):
+        raise ValueError(f"party {party}: expected an object of 'x,a' entries, got {data!r}")
     ops = {}
     for key, pmap in data.items():
         try:
@@ -192,5 +194,7 @@ def instrument_from_pauli_maps(
             x, a = int(x_str), int(a_str)
         except ValueError:
             raise ValueError(f"bad instrument key {key!r}: expected 'x,a'") from None
+        if not isinstance(pmap, Mapping):
+            raise ValueError(f"instrument entry {key!r}: expected a Pauli map, got {pmap!r}")
         ops[(x, a)] = from_pauli_map(pmap, labels)
     return Instrument(party, ops)

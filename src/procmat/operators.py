@@ -239,10 +239,18 @@ def pauli_term(
     for s in labels:
         if s.dim != 2:
             raise LabelError(f"Pauli words need qubit factors; {s.name} has dim {s.dim}")
-    mat = PAULI_MATRICES[word[0]]
-    for ch in word[1:]:
-        mat = np.kron(mat, PAULI_MATRICES[ch])
-    return HermitianOperator(tuple(labels), mat)
+    return HermitianOperator(tuple(labels), pauli_matrix(word))
+
+
+def pauli_matrix(word: str) -> np.ndarray:
+    """The 2^n x 2^n matrix of an n-letter Pauli word (letters from IXYZ):
+    the Kronecker product of the letters' matrices, as a new array."""
+    mat = np.ones((1, 1), dtype=complex)
+    for ch in word:
+        side = 2 * mat.shape[0]
+        # (M (x) P)[2i + k, 2j + l] = M[i, j] P[k, l], without np.kron's overhead
+        mat = (mat[:, None, :, None] * PAULI_MATRICES[ch][None, :, None, :]).reshape(side, side)
+    return mat
 
 
 def pauli_coeff(op: HermitianOperator, word: str) -> float:

@@ -23,6 +23,10 @@ coordinate moves only on strict improvement.
 Restarts are independent: restart i draws its start from a generator seeded
 with seed + i, so results are reproducible and independent of execution
 order.  The generator is numpy's default PCG64.
+
+The coordinate layout (q, then the 36 + 36 block coefficients), each
+coordinate's name, block and Pauli word come from ``process.COORDINATES``;
+the objectives are ``stats.objective``.
 """
 
 from __future__ import annotations
@@ -30,30 +34,34 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .instruments import Instrument, gyni_strategy
-from .operators import PAULI_MATRICES
+from .operators import PAULI_LETTERS, pauli_matrix
 from .process import (
-    AXIS_FULL,
-    AXIS_SPATIAL,
+    COORDINATES,
+    FEIX_WORD_BA,
+    FEIX_WORDS_AB,
+    SEP_WORDS_AB,
+    SEP_WORDS_BA,
     FeixParams,
     InfeasibleParamsError,
     SepParams,
+    _require_feasible,
 )
-from .stats import InputDist
+from .stats import OBJECTIVES, InputDist, objective
 
 GENERATOR_NAME = "numpy PCG64 (default_rng)"
 
 DEFAULT_SEED = 200
 
-OBJECTIVES = ("H_AB", "H_A", "H_B", "H_A_given_B", "I_AB")
 # conditional entropy is concave in the joint distribution too
 _CONCAVE_OBJECTIVES = frozenset({"H_AB", "H_A", "H_B", "H_A_given_B"})
 
-N_COORDS = 73  # q plus 36 + 36 block coefficients
+N_COORDS = len(COORDINATES)
 
 #: interval endpoints put the block's smallest eigenvalue at this fraction
 #: of -psd_tol: strictly inside the tolerance, so an endpoint still reads as
@@ -66,47 +74,15 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def coord_name(coord: int) -> str:
     """Human name of a coordinate: ``q``, ``c_0xy``, ``cp_z0x``, ..."""
-    if coord == 0:
-        return "q"
-    if 1 <= coord <= 36:
-        k = coord - 1
-        a, rest = divmod(k, 9)
-        i, j = divmod(rest, 3)
-        return f"c_{AXIS_FULL[a]}{AXIS_SPATIAL[i]}{AXIS_SPATIAL[j]}"
-    if 37 <= coord <= 72:
-        k = coord - 37
-        i, rest = divmod(k, 12)
-        a, j = divmod(rest, 3)
-        return f"cp_{AXIS_SPATIAL[i]}{AXIS_FULL[a]}{AXIS_SPATIAL[j]}"
-    raise ValueError(f"coordinate index out of range: {coord}")
+    if not 0 <= coord < N_COORDS:
+        raise ValueError(f"coordinate index out of range: {coord}")
+    return COORDINATES[coord].name
 
 
-def _single_qubit(axis: str) -> np.ndarray:
-    return PAULI_MATRICES["I" if axis == "0" else axis.upper()]
-
-
-def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(a, b), c)
-
-
-def _block_word_stacks() -> tuple[np.ndarray, np.ndarray]:
-    # block A lives on A_I (x) A_O (x) B_I (the B_O identity factor is dropped);
-    # block B lives on A_I (x) B_I (x) B_O (the A_O identity factor is dropped)
-    words_a = [
-        _kron3(_single_qubit(a), _single_qubit(i), _single_qubit(j))
-        for a in AXIS_FULL
-        for i in AXIS_SPATIAL
-        for j in AXIS_SPATIAL
-    ]
-    words_b = [
-        _kron3(_single_qubit(i), _single_qubit(a), _single_qubit(j))
-        for i in AXIS_SPATIAL
-        for a in AXIS_FULL
-        for j in AXIS_SPATIAL
-    ]
-    return np.stack(words_a), np.stack(words_b)
-
-_WORDS_A, _WORDS_B = _block_word_stacks()
+# each block is searched on the three factors it does not hold at the
+# identity: A<B drops B_O (letter 3 of its words), B<A drops A_O (letter 1)
+_WORDS_A = np.stack([pauli_matrix(w[:3]) for w in SEP_WORDS_AB])
+_WORDS_B = np.stack([pauli_matrix(w[0] + w[2:]) for w in SEP_WORDS_BA])
 _EYE8 = np.eye(8, dtype=complex)
 
 
@@ -207,12 +183,8 @@ class _Engine:
         self._tb = t_b
         base = np.einsum("ay,by->ab", self._wa[0, 0], t_b[0, 0]) / 4.0
         self.base_joint = base
-        self.inc_a = np.stack(
-            [self._word_increment(a, i, j) for a in range(4) for i in range(1, 4) for j in range(1, 4)]
-        ).reshape(36, -1)
-        self.inc_b = np.stack(
-            [self._word_increment_b(i, a, j) for i in range(1, 4) for a in range(4) for j in range(1, 4)]
-        ).reshape(36, -1)
+        self.inc_a = self.increments(SEP_WORDS_AB)
+        self.inc_b = self.increments(SEP_WORDS_BA)
         self._base_flat = base.reshape(-1)
 
     @staticmethod
@@ -221,10 +193,9 @@ class _Engine:
         xs = ins.inputs
         n_a = max(len(ins.outcomes(x)) for x in xs)
         table = np.zeros((4, 4, n_a, len(xs)))
-        paulis = [PAULI_MATRICES[ch] for ch in "IXYZ"]
         for m in range(4):
             for n in range(4):
-                word = np.kron(paulis[m], paulis[n])
+                word = pauli_matrix(PAULI_LETTERS[m] + PAULI_LETTERS[n])
                 for ix, x in enumerate(xs):
                     for ia, a in enumerate(ins.outcomes(x)):
                         value = np.einsum("ij,ji->", ins.operators[(x, a)].matrix, word)
@@ -233,13 +204,11 @@ class _Engine:
                         table[m, n, ia, ix] = value.real
         return table, n_a
 
-    def _word_increment(self, a: int, i: int, j: int) -> np.ndarray:
-        # first-block word sigma_a^{A_I} sigma_i^{A_O} sigma_j^{B_I} I^{B_O}
-        return np.einsum("ay,by->ab", self._wa[a, i], self._tb[j, 0])
-
-    def _word_increment_b(self, i: int, a: int, j: int) -> np.ndarray:
-        # second-block word sigma_i^{A_I} I^{A_O} sigma_a^{B_I} sigma_j^{B_O}
-        return np.einsum("ay,by->ab", self._wa[i, 0], self._tb[a, j])
+    def increments(self, words: Sequence[str]) -> np.ndarray:
+        """Joint increments of 4-letter product words, one flat row per word."""
+        idx = np.array([[PAULI_LETTERS.index(ch) for ch in w] for w in words]).T
+        rows = np.einsum("kay,kby->kab", self._wa[idx[0], idx[1]], self._tb[idx[2], idx[3]])
+        return rows.reshape(len(words), -1)
 
     def is_flat(self, coord: int, q: float) -> bool:
         """Whether moving block coordinate ``coord`` leaves the joint
@@ -249,40 +218,11 @@ class _Engine:
             return q == 0.0 or not self.inc_a[coord - 1].any()
         return q == 1.0 or not self.inc_b[coord - 37].any()
 
-    def word_increment_full(self, word: str) -> np.ndarray:
-        """Joint increment of an arbitrary 4-letter product word."""
-        idx = ["IXYZ".index(ch) for ch in word.upper()]
-        return np.einsum("ay,by->ab", self._wa[idx[0], idx[1]], self._tb[idx[2], idx[3]])
-
-    def joint_flat(self, q: float, c_flat: np.ndarray, cp_flat: np.ndarray) -> np.ndarray:
-        return self._base_flat + q * (c_flat @ self.inc_a) + (1.0 - q) * (cp_flat @ self.inc_b)
-
-    def joint_of(self, flat: np.ndarray) -> np.ndarray:
+    def joint(self, state: _State) -> np.ndarray:
+        """The joint (a, b) distribution at a search point."""
+        q = state.q
+        flat = self._base_flat + q * (state.c @ self.inc_a) + (1.0 - q) * (state.cp @ self.inc_b)
         return flat.reshape(self.n_a, self.n_b)
-
-
-def _objective_fn(name: str) -> Callable[[np.ndarray], float]:
-    def shannon(p: np.ndarray) -> float:
-        p = p[p > 1e-15]
-        return float(-(p * np.log2(p)).sum())
-
-    def value(joint2d: np.ndarray) -> float:
-        joint2d = np.maximum(joint2d, 0.0)
-        if name == "H_AB":
-            return shannon(joint2d.ravel())
-        if name == "H_A":
-            return shannon(joint2d.sum(axis=1))
-        if name == "H_B":
-            return shannon(joint2d.sum(axis=0))
-        if name == "H_A_given_B":
-            return shannon(joint2d.ravel()) - shannon(joint2d.sum(axis=0))
-        return (
-            shannon(joint2d.sum(axis=1))
-            + shannon(joint2d.sum(axis=0))
-            - shannon(joint2d.ravel())
-        )
-
-    return value
 
 
 class _State:
@@ -312,6 +252,13 @@ class _State:
             self.c[coord - 1] = value
         else:
             self.cp[coord - 37] = value
+
+    def min_eigs(self) -> tuple[float, float]:
+        """Smallest eigenvalues of the two fixed-order blocks."""
+        return (
+            _min_eig(_block_matrix(self.c, _WORDS_A)),
+            _min_eig(_block_matrix(self.cp, _WORDS_B)),
+        )
 
 
 def _coord_line(state: _State, coord: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -356,14 +303,10 @@ def _line_interval(
     return (t0 - max(float(nu[4]), 0.0), t0 - min(float(nu[3]), 0.0))
 
 
-def _block_name(coord: int) -> str:
-    return "A<B" if coord <= 36 else "B<A"
-
-
 def _interval_of(state: _State, coord: int, psd_tol: float) -> tuple[float, float]:
     if coord == 0:
         return (0.0, 1.0)
-    return _line_interval(*_coord_line(state, coord), psd_tol, _block_name(coord))
+    return _line_interval(*_coord_line(state, coord), psd_tol, COORDINATES[coord].block)
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -408,6 +351,49 @@ def _line_max(
     return best_t, best_v
 
 
+def _line_fn(
+    engine: _Engine, value: Callable[[np.ndarray], float], state: _State, coord: int
+) -> Callable[[float], float]:
+    """The objective along one coordinate line through the incumbent."""
+
+    def f(t: float) -> float:
+        old = state.get(coord)
+        state.set(coord, t)
+        out = value(engine.joint(state))
+        state.set(coord, old)
+        return out
+
+    return f
+
+
+def _random_start(
+    seed: int,
+    psd_tol: float,
+    coords: Sequence[int] = range(N_COORDS),
+    base: SepParams | None = None,
+) -> SepParams:
+    """Feasible random start over ``coords``, the others held at ``base``
+    (default zeros with q = 1/2): q uniform, coefficients Gaussian (scale
+    0.05) halved together until both blocks are PSD.
+
+    The base must be feasible; then the halving loop terminates, since the
+    drawn coefficients shrink towards it.  Deterministic function of seed.
+    """
+    state = _State(base if base is not None else SepParams.zeros())
+    _require_feasible(*state.min_eigs(), psd_tol)
+    rng = np.random.default_rng(seed)
+    if 0 in coords:
+        state.q = float(rng.uniform())
+    coeff_coords = [k for k in coords if k != 0]
+    draws = rng.normal(scale=_INIT_SCALE, size=len(coeff_coords))
+    while True:
+        for k, value in zip(coeff_coords, draws):
+            state.set(k, value)
+        if min(state.min_eigs()) >= -psd_tol:
+            return state.to_params()
+        draws = draws * 0.5
+
+
 def random_feasible_init(seed: int, psd_tol: float = 1e-10) -> SepParams:
     """Feasible random start: q uniform, coefficients Gaussian (scale 0.05)
     halved together until both blocks are PSD.
@@ -415,17 +401,7 @@ def random_feasible_init(seed: int, psd_tol: float = 1e-10) -> SepParams:
     Zero coefficients give the maximally mixed blocks (smallest eigenvalue
     1/4), so the halving loop terminates.  Deterministic function of seed.
     """
-    rng = np.random.default_rng(seed)
-    q = float(rng.uniform())
-    c = rng.normal(scale=_INIT_SCALE, size=36)
-    cp = rng.normal(scale=_INIT_SCALE, size=36)
-    while (
-        _min_eig(_block_matrix(c, _WORDS_A)) < -psd_tol
-        or _min_eig(_block_matrix(cp, _WORDS_B)) < -psd_tol
-    ):
-        c *= 0.5
-        cp *= 0.5
-    return SepParams(q, c.reshape(4, 3, 3), cp.reshape(3, 4, 3))
+    return _random_start(seed, psd_tol)
 
 
 def feasible_interval(
@@ -462,18 +438,10 @@ def line_maximize(
     if hi < lo:
         raise ValueError(f"empty interval: {interval}")
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-    value = _objective_fn(cfg.objective)
     state = _State(params)
-
-    def f(t: float) -> float:
-        old = state.get(coord)
-        state.set(coord, t)
-        out = value(engine.joint_of(engine.joint_flat(state.q, state.c, state.cp)))
-        state.set(coord, old)
-        return out
-
     best_t, best_v = _line_max(
-        f, state.get(coord), lo, hi, cfg.line_tol, cfg.objective in _CONCAVE_OBJECTIVES
+        _line_fn(engine, partial(objective, cfg.objective), state, coord),
+        state.get(coord), lo, hi, cfg.line_tol, cfg.objective in _CONCAVE_OBJECTIVES,
     )
     return best_v, best_t
 
@@ -490,7 +458,7 @@ def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig):
         moved = 0.0
         for coord in coords:
             block, word, t0 = _coord_line(state, coord)
-            lo, hi = _line_interval(block, word, t0, cfg.psd_tol, _block_name(coord))
+            lo, hi = _line_interval(block, word, t0, cfg.psd_tol, COORDINATES[coord].block)
 
             def slack(t: float) -> float:
                 return _min_eig(block + (t - t0) * word)
@@ -505,18 +473,13 @@ def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig):
 
 def _ascend(init: SepParams, cfg: OptimizerConfig) -> tuple[SepParams, float, int, tuple[float, ...]]:
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-    value = _objective_fn(cfg.objective)
+    value = partial(objective, cfg.objective)
     state = _State(init)
-    eig_a = _min_eig(_block_matrix(state.c, _WORDS_A))
-    eig_b = _min_eig(_block_matrix(state.cp, _WORDS_B))
-    if eig_a < -cfg.psd_tol:
-        raise InfeasibleParamsError("A<B", eig_a)
-    if eig_b < -cfg.psd_tol:
-        raise InfeasibleParamsError("B<A", eig_b)
+    _require_feasible(*state.min_eigs(), cfg.psd_tol)
 
     concave = cfg.objective in _CONCAVE_OBJECTIVES
     _center_unranked(state, engine, cfg)
-    current = value(engine.joint_of(engine.joint_flat(state.q, state.c, state.cp)))
+    current = value(engine.joint(state))
     trace = [current]
     sweeps = 0
     for _ in range(cfg.max_sweeps):
@@ -527,14 +490,7 @@ def _ascend(init: SepParams, cfg: OptimizerConfig) -> tuple[SepParams, float, in
                 continue  # a constant line cannot strictly improve
             lo, hi = _interval_of(state, coord, cfg.psd_tol)
             t0 = state.get(coord)
-
-            def f(t: float) -> float:
-                old = state.get(coord)
-                state.set(coord, t)
-                out = value(engine.joint_of(engine.joint_flat(state.q, state.c, state.cp)))
-                state.set(coord, old)
-                return out
-
+            f = _line_fn(engine, value, state, coord)
             best_t, best_v = _line_max(f, t0, lo, hi, cfg.line_tol, concave)
             if best_t != t0 and best_v > current:
                 state.set(coord, best_t)
@@ -560,40 +516,9 @@ def coordinate_ascent(
     return params, value, sweeps
 
 
-def _restricted_init(seed: int, cfg: OptimizerConfig) -> SepParams:
-    """Random start over the active coordinates only, others held at base."""
-    base = cfg.base_params if cfg.base_params is not None else SepParams.zeros()
-    state = _State(base)
-    eig_a = _min_eig(_block_matrix(state.c, _WORDS_A))
-    eig_b = _min_eig(_block_matrix(state.cp, _WORDS_B))
-    if eig_a < -cfg.psd_tol:
-        raise InfeasibleParamsError("A<B", eig_a)
-    if eig_b < -cfg.psd_tol:
-        raise InfeasibleParamsError("B<A", eig_b)
-    rng = np.random.default_rng(seed)
-    active = cfg.active_coords()
-    if 0 in active:
-        state.q = float(rng.uniform())
-    coeff_coords = [k for k in active if k != 0]
-    draws = rng.normal(scale=_INIT_SCALE, size=len(coeff_coords))
-    while True:
-        for k, value in zip(coeff_coords, draws):
-            state.set(k, value)
-        if (
-            _min_eig(_block_matrix(state.c, _WORDS_A)) >= -cfg.psd_tol
-            and _min_eig(_block_matrix(state.cp, _WORDS_B)) >= -cfg.psd_tol
-        ):
-            return state.to_params()
-        draws = draws * 0.5
-
-
 def _run_restart(args) -> tuple[int, float, SepParams, int, tuple[float, ...] | None]:
     cfg, restart = args
-    seed = cfg.seed + restart
-    if cfg.coords is None and cfg.base_params is None:
-        init = random_feasible_init(seed, cfg.psd_tol)
-    else:
-        init = _restricted_init(seed, cfg)
+    init = _random_start(cfg.seed + restart, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
     params, val, sweeps, trace = _ascend(init, cfg)
     return restart, val, params, sweeps, trace if cfg.record_trace else None
 
@@ -644,29 +569,17 @@ class _FeixEngine:
     """Joint distribution and feasibility over the (q, eps) plane."""
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
-        self._engine = _Engine(instrument_a, instrument_b, inputs)
-        coupling = ["IXXI", "IYYI", "IZZI"]
-        self._inc_sym = sum(self._engine.word_increment_full(w) for w in coupling) / 12.0
-        self._inc_ba = self._engine.word_increment_full("ZIXZ") / 4.0
-        paulis = {w: self._word16(w) for w in coupling + ["ZIXZ"]}
-        self._m_sym = sum(paulis[w] for w in coupling) / 12.0
-        self._m_ba = paulis["ZIXZ"] / 4.0
+        engine = _Engine(instrument_a, instrument_b, inputs)
+        self._base = engine.base_joint
+        shape = (-1, *self._base.shape)
+        self._inc_sym = sum(engine.increments(FEIX_WORDS_AB).reshape(shape)) / 12.0
+        self._inc_ba = engine.increments([FEIX_WORD_BA]).reshape(shape)[0] / 4.0
+        self._m_sym = sum(pauli_matrix(w) for w in FEIX_WORDS_AB) / 12.0
+        self._m_ba = pauli_matrix(FEIX_WORD_BA) / 4.0
         self._eye16 = np.eye(16, dtype=complex)
 
-    @staticmethod
-    def _word16(word: str) -> np.ndarray:
-        mat = PAULI_MATRICES[word[0]]
-        for ch in word[1:]:
-            mat = np.kron(mat, PAULI_MATRICES[ch])
-        return mat
-
     def joint(self, q: float, eps: float) -> np.ndarray:
-        flat = (
-            self._engine.base_joint
-            + q * self._inc_sym
-            + (1.0 - q + eps) * self._inc_ba
-        )
-        return flat
+        return self._base + q * self._inc_sym + (1.0 - q + eps) * self._inc_ba
 
     def min_eig(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -688,7 +601,7 @@ def feix_maximize(
     golden-section refinement with PSD-interval bisection polishes it.
     """
     cfg = cfg or OptimizerConfig()
-    value = _objective_fn(cfg.objective)
+    value = partial(objective, cfg.objective)
     eng = _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
 
     qs = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)

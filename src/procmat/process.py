@@ -16,8 +16,9 @@ instruments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .operators import (
     HermitianOperator,
     identity,
     min_eigenvalue,
+    pauli_matrix,
     pauli_term,
     trace_replace,
 )
@@ -39,8 +41,6 @@ PSD_TOL = 1e-10
 #: axis letters for the separable-family coefficient tables
 AXIS_FULL = "0xyz"
 AXIS_SPATIAL = "xyz"
-
-_PAULI_OF_AXIS = {"0": "I", "x": "X", "y": "Y", "z": "Z"}
 
 
 class InfeasibleParamsError(ValueError):
@@ -152,6 +152,45 @@ def ocb_process() -> ProcessMatrix:
 # ---------------------------------------------------------------------------
 
 
+class Coordinate(NamedTuple):
+    """One coordinate of the separable family's parameter vector."""
+
+    name: str  # flat-map key: q, c_<alpha><i><j> or cp_<i><alpha><j>
+    block: str | None  # "A<B" or "B<A"; None for the mixing weight q
+    word: str | None  # Pauli word on A_I, A_O, B_I, B_O; None for q
+
+
+def _coordinate_table() -> tuple[Coordinate, ...]:
+    # a coefficient's word is its index letters with the block's identity
+    # factor put in: I on B_O for A<B, I on A_O for B<A
+    pauli = str.maketrans(AXIS_FULL, "IXYZ")
+    ab = [
+        Coordinate(f"c_{a}{i}{j}", "A<B", f"{a}{i}{j}0".translate(pauli))
+        for a in AXIS_FULL for i in AXIS_SPATIAL for j in AXIS_SPATIAL
+    ]
+    ba = [
+        Coordinate(f"cp_{i}{a}{j}", "B<A", f"{i}0{a}{j}".translate(pauli))
+        for i in AXIS_SPATIAL for a in AXIS_FULL for j in AXIS_SPATIAL
+    ]
+    return (Coordinate("q", None, None), *ab, *ba)
+
+
+#: The 73 coordinates of the separable family, in search order: q, then the
+#: 36 coefficients of c in (alpha, i, j) order, then the 36 of c_prime in
+#: (i, alpha, j) order.  Flat maps, coordinate indices, Pauli words and word
+#: stacks are all read off this table.
+COORDINATES = _coordinate_table()
+_COORD_INDEX = {coord.name: k for k, coord in enumerate(COORDINATES)}
+
+#: 4-letter Pauli words of the A<B block, in c-array (alpha, i, j) order.
+SEP_WORDS_AB = tuple(coord.word for coord in COORDINATES if coord.block == "A<B")
+#: 4-letter Pauli words of the B<A block, in c_prime-array (i, alpha, j) order.
+SEP_WORDS_BA = tuple(coord.word for coord in COORDINATES if coord.block == "B<A")
+
+_WORD_STACK_AB = np.stack([pauli_matrix(w) for w in SEP_WORDS_AB])
+_WORD_STACK_BA = np.stack([pauli_matrix(w) for w in SEP_WORDS_BA])
+
+
 @dataclass(frozen=True)
 class SepParams:
     """Mixing weight q plus the 72 coefficients of the two fixed-order blocks.
@@ -174,6 +213,9 @@ class SepParams:
             raise ValueError(f"c must have shape (4, 3, 3), got {c.shape}")
         if cp.shape != (3, 4, 3):
             raise ValueError(f"c_prime must have shape (3, 4, 3), got {cp.shape}")
+        for name, values in (("c", c), ("c_prime", cp)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
         c.setflags(write=False)
         cp.setflags(write=False)
         object.__setattr__(self, "q", float(self.q))
@@ -186,80 +228,41 @@ class SepParams:
 
     def to_flat_map(self) -> dict[str, float]:
         """Flat keyed form: q plus keys like ``c_0xz`` and ``cp_x0y``."""
-        out = {"q": self.q}
-        for ia, a in enumerate(AXIS_FULL):
-            for ii, i in enumerate(AXIS_SPATIAL):
-                for ij, j in enumerate(AXIS_SPATIAL):
-                    out[f"c_{a}{i}{j}"] = float(self.c[ia, ii, ij])
-        for ii, i in enumerate(AXIS_SPATIAL):
-            for ia, a in enumerate(AXIS_FULL):
-                for ij, j in enumerate(AXIS_SPATIAL):
-                    out[f"cp_{i}{a}{j}"] = float(self.c_prime[ii, ia, ij])
-        return out
+        values = [self.q, *self.c.ravel().tolist(), *self.c_prime.ravel().tolist()]
+        return {coord.name: value for coord, value in zip(COORDINATES, values)}
 
     @classmethod
     def from_flat_map(cls, data: Mapping[str, float]) -> "SepParams":
-        """Inverse of :func:`to_flat_map`; missing keys default to zero."""
-        c = np.zeros((4, 3, 3))
-        cp = np.zeros((3, 4, 3))
-        q = 0.5
+        """Inverse of :func:`to_flat_map`; missing coefficients default to
+        zero and a missing q to 1/2."""
+        values = np.zeros(len(COORDINATES))
+        values[0] = 0.5
         for key, raw in data.items():
             try:
                 value = float(raw)
             except (TypeError, ValueError):
                 raise ValueError(f"bad value for key {key!r}: {raw!r}") from None
-            if key == "q":
-                q = value
-                continue
-            try:
-                prefix, idx = key.split("_")
-            except ValueError:
-                raise ValueError(f"bad parameter key {key!r}") from None
-            if prefix == "c" and len(idx) == 3 and idx[0] in AXIS_FULL and \
-                    idx[1] in AXIS_SPATIAL and idx[2] in AXIS_SPATIAL:
-                c[AXIS_FULL.index(idx[0]), AXIS_SPATIAL.index(idx[1]), AXIS_SPATIAL.index(idx[2])] = value
-            elif prefix == "cp" and len(idx) == 3 and idx[0] in AXIS_SPATIAL and \
-                    idx[1] in AXIS_FULL and idx[2] in AXIS_SPATIAL:
-                cp[AXIS_SPATIAL.index(idx[0]), AXIS_FULL.index(idx[1]), AXIS_SPATIAL.index(idx[2])] = value
-            else:
+            if key not in _COORD_INDEX:
                 raise ValueError(f"bad parameter key {key!r}")
-        return cls(q, c, cp)
+            values[_COORD_INDEX[key]] = value
+        c, c_prime = np.split(values[1:], 2)
+        return cls(values[0], c.reshape(4, 3, 3), c_prime.reshape(3, 4, 3))
 
 
-def _sep_word_ab(alpha: str, i: str, j: str) -> str:
-    return _PAULI_OF_AXIS[alpha] + _PAULI_OF_AXIS[i] + _PAULI_OF_AXIS[j] + "I"
-
-
-def _sep_word_ba(i: str, alpha: str, j: str) -> str:
-    return _PAULI_OF_AXIS[i] + "I" + _PAULI_OF_AXIS[alpha] + _PAULI_OF_AXIS[j]
-
-
-#: 4-letter Pauli words of the A<B block, in c-array (alpha, i, j) order.
-SEP_WORDS_AB = tuple(
-    _sep_word_ab(a, i, j) for a in AXIS_FULL for i in AXIS_SPATIAL for j in AXIS_SPATIAL
-)
-#: 4-letter Pauli words of the B<A block, in c_prime-array (i, alpha, j) order.
-SEP_WORDS_BA = tuple(
-    _sep_word_ba(i, a, j) for i in AXIS_SPATIAL for a in AXIS_FULL for j in AXIS_SPATIAL
-)
-
-
-def _block_operator(words: tuple[str, ...], coeffs: np.ndarray) -> HermitianOperator:
-    op = identity(CANONICAL_LABELS) * 0.25
-    for word, value in zip(words, coeffs.ravel()):
-        if value != 0.0:
-            op = op + float(value) * pauli_term(word)
-    return op
+def _block_operator(stack: np.ndarray, coeffs: np.ndarray) -> HermitianOperator:
+    return HermitianOperator(
+        CANONICAL_LABELS, np.eye(16) / 4 + np.tensordot(coeffs.ravel(), stack, axes=(0, 0))
+    )
 
 
 def ordered_block_ab(p: SepParams) -> HermitianOperator:
     """W^{A<B}: identity on B_O, so Bob cannot signal to Alice."""
-    return _block_operator(SEP_WORDS_AB, p.c)
+    return _block_operator(_WORD_STACK_AB, p.c)
 
 
 def ordered_block_ba(p: SepParams) -> HermitianOperator:
     """W^{B<A}: identity on A_O, so Alice cannot signal to Bob."""
-    return _block_operator(SEP_WORDS_BA, p.c_prime)
+    return _block_operator(_WORD_STACK_BA, p.c_prime)
 
 
 def sep_feasibility(p: SepParams) -> tuple[float, float]:
@@ -268,6 +271,14 @@ def sep_feasibility(p: SepParams) -> tuple[float, float]:
         min_eigenvalue(ordered_block_ab(p)),
         min_eigenvalue(ordered_block_ba(p)),
     )
+
+
+def _require_feasible(min_eig_ab: float, min_eig_ba: float, psd_tol: float):
+    """Raise :class:`InfeasibleParamsError` for the first fixed-order block
+    whose smallest eigenvalue is below -psd_tol."""
+    for block, min_eig in (("A<B", min_eig_ab), ("B<A", min_eig_ba)):
+        if min_eig < -psd_tol:
+            raise InfeasibleParamsError(block, min_eig)
 
 
 @dataclass(frozen=True)
@@ -284,12 +295,7 @@ def separable_from_params(p: SepParams, psd_tol: float = PSD_TOL) -> SeparableTr
     """
     block_ab = ordered_block_ab(p)
     block_ba = ordered_block_ba(p)
-    eig_ab = min_eigenvalue(block_ab)
-    if eig_ab < -psd_tol:
-        raise InfeasibleParamsError("A<B", eig_ab)
-    eig_ba = min_eigenvalue(block_ba)
-    if eig_ba < -psd_tol:
-        raise InfeasibleParamsError("B<A", eig_ba)
+    _require_feasible(min_eigenvalue(block_ab), min_eigenvalue(block_ba), psd_tol)
     mixture = p.q * block_ab + (1.0 - p.q) * block_ba
     return SeparableTriple(as_process(block_ab), as_process(block_ba), as_process(mixture))
 
@@ -309,19 +315,24 @@ class FeixParams:
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+
+
+#: Pauli words of the Feix blocks: the A<B block couples A_O to B_I
+FEIX_WORDS_AB = ("IXXI", "IYYI", "IZZI")
+FEIX_WORD_BA = "ZIXZ"
 
 
 def feix_block_ab() -> HermitianOperator:
     """(I + (XX + YY + ZZ on A_O,B_I)/3) / 4: a channel-like A<B process."""
-    coupling = pauli_term("IXXI") + pauli_term("IYYI") + pauli_term("IZZI")
+    coupling = HermitianOperator(CANONICAL_LABELS, sum(pauli_matrix(w) for w in FEIX_WORDS_AB))
     return 0.25 * (identity(CANONICAL_LABELS) + (1.0 / 3.0) * coupling)
 
 
 def feix_block_ba() -> HermitianOperator:
     """(I + ZIXZ) / 4: a B<A process."""
-    return 0.25 * (identity(CANONICAL_LABELS) + pauli_term("ZIXZ"))
+    return 0.25 * (identity(CANONICAL_LABELS) + pauli_term(FEIX_WORD_BA))
 
 
 def feix_process(p: FeixParams) -> ProcessMatrix:

@@ -153,9 +153,9 @@ def joint_dist(table: CondProbTable, inputs: InputDist | None = None) -> np.ndar
 
 
 def _entropy(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float).ravel()
-    live = p > ZERO_PROB
-    return float(-(p[live] * np.log2(p[live])).sum())
+    # the mask also flattens a 2-D joint, in row-major order
+    p = p[p > ZERO_PROB]
+    return float(-(p * np.log2(p)).sum())
 
 
 def entropies(joint: np.ndarray) -> EntropyReport:
@@ -174,6 +174,30 @@ def entropies(joint: np.ndarray) -> EntropyReport:
         h_a_given_b=h_ab - h_b,
         i_ab=h_a + h_b - h_ab,
     )
+
+
+#: each Shannon quantity of a nonnegative joint (a, b) distribution, computing
+#: only the entropies it needs; the keys are the objective names
+_QUANTITIES = {
+    "H_AB": _entropy,
+    "H_A": lambda joint: _entropy(joint.sum(axis=1)),
+    "H_B": lambda joint: _entropy(joint.sum(axis=0)),
+    "H_A_given_B": lambda joint: _entropy(joint) - _entropy(joint.sum(axis=0)),
+    "I_AB": lambda joint: (
+        _entropy(joint.sum(axis=1)) + _entropy(joint.sum(axis=0)) - _entropy(joint)
+    ),
+}
+OBJECTIVES = tuple(_QUANTITIES)
+
+
+def objective(name: str, joint: np.ndarray) -> float:
+    """The named Shannon quantity (one of ``OBJECTIVES``) of a joint (a, b)
+    distribution, in bits, as :func:`entropies` reports it.
+
+    Negative entries (roundoff of an affine map to the joint) are clamped to
+    zero first.
+    """
+    return _QUANTITIES[name](np.maximum(joint, 0.0))
 
 
 def game_success(table: CondProbTable) -> float:

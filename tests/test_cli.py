@@ -153,6 +153,37 @@ class TestEntropy:
         doc = json.loads(out)
         assert doc["entropies"]["H_AB"] == pytest.approx(1.8456526640405408, abs=1e-10)
 
+    @pytest.mark.parametrize("key", ["22", "20"])
+    def test_inputs_key_outside_table_exit_2(self, capsys, tmp_path, key):
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps({key: 1.0}))
+        code, _, err = run_cli(capsys, "entropy", "ocb", "--inputs", str(path))
+        assert code == 2
+        assert "inputs.json" in err and repr(key) in err
+
+    @pytest.mark.parametrize("party_a", [[1, 2], {"0,0": 5}])
+    def test_instruments_entry_not_an_object_exit_2(self, capsys, tmp_path, party_a):
+        from procmat.instruments import gyni_strategy, instrument_to_pauli_maps
+
+        path = tmp_path / "instruments.json"
+        path.write_text(json.dumps({
+            "A": party_a,
+            "B": instrument_to_pauli_maps(gyni_strategy("B")),
+        }))
+        code, _, err = run_cli(capsys, "entropy", "ocb", "--instruments", str(path))
+        assert code == 2
+        assert "instruments.json" in err
+
+    def test_non_finite_parameters_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "validate", "feix", "--eps", "nan")
+        assert code == 2
+        assert "eps" in err
+        path = tmp_path / "nan.json"
+        path.write_text('{"c_0zz": NaN}')
+        code, _, err = run_cli(capsys, "validate", "sep", "--params", str(path))
+        assert code == 2
+        assert "nan.json" in err and "finite" in err
+
 
 class TestGame:
     def test_ocb_flags_violation(self, capsys):

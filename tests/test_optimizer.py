@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -427,3 +430,40 @@ class TestConfigValidation:
     def test_bad_coords(self):
         with pytest.raises(ValueError, match="coords"):
             OptimizerConfig(coords=(99,))
+
+
+#: values of a fixed seeded configuration, pinned so that a change which keeps
+#: the search algorithm must reproduce them (records, sweeps, best parameters)
+SEEDED = json.loads((Path(__file__).parent / "seeded_results.json").read_text())
+
+
+class TestSeededResults:
+    @pytest.mark.parametrize("objective", ["H_AB", "I_AB"])
+    def test_multistart_reproduces_pinned_records(self, objective):
+        expected = SEEDED[f"multistart_{objective}"]
+        result = multistart(
+            OptimizerConfig(restarts=2, seed=200, sweep_tol=1e-2, objective=objective)
+        )
+        values = [r.value for r in result.records]
+        assert values == pytest.approx(expected["values"], rel=0, abs=1e-12)
+        assert [r.sweeps for r in result.records] == expected["sweeps"]
+        assert result.best_restart == expected["best_restart"]
+        flat = result.best_params.to_flat_map()
+        assert list(flat) == list(expected["best_params"])
+        pinned = list(expected["best_params"].values())
+        assert list(flat.values()) == pytest.approx(pinned, rel=0, abs=1e-12)
+
+    def test_feix_maximize_reproduces_pinned_optimum(self):
+        expected = SEEDED["feix_H_AB"]
+        params, value = feix_maximize(OptimizerConfig(objective="H_AB"))
+        pinned = [expected["q"], expected["eps"], expected["value"]]
+        assert [params.q, params.eps, value] == pytest.approx(pinned, rel=0, abs=1e-12)
+
+    def test_all_coordinates_active_matches_default_search(self):
+        settings = dict(restarts=2, seed=31, sweep_tol=1e-2)
+        default = multistart(OptimizerConfig(**settings))
+        explicit = multistart(OptimizerConfig(**settings, coords=range(N_COORDS)))
+        assert [(r.value, r.sweeps) for r in explicit.records] == [
+            (r.value, r.sweeps) for r in default.records
+        ]
+        assert explicit.best_params.to_flat_map() == default.best_params.to_flat_map()

@@ -11,6 +11,9 @@ from procmat.operators import (
     trace_replace,
 )
 from procmat.process import (
+    COORDINATES,
+    SEP_WORDS_AB,
+    SEP_WORDS_BA,
     FeixParams,
     InfeasibleParamsError,
     SepParams,
@@ -21,10 +24,13 @@ from procmat.process import (
     nonsignalling_part,
     ocb_process,
     ordered_block_ab,
+    ordered_block_ba,
     sep_feasibility,
     separable_from_params,
     validate_process,
 )
+
+from oracles import block_matrix
 
 SQRT2 = np.sqrt(2)
 
@@ -207,6 +213,40 @@ class TestSeparableFamily:
         with pytest.raises(ValueError, match="c_wzz"):
             SepParams.from_flat_map({"c_wzz": 0.1})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        c = np.zeros((4, 3, 3))
+        c[0, 2, 2] = bad
+        with pytest.raises(ValueError, match="c must be finite"):
+            SepParams(0.5, c, np.zeros((3, 4, 3)))
+        with pytest.raises(ValueError, match="c_prime must be finite"):
+            SepParams(0.5, np.zeros((4, 3, 3)), np.full((3, 4, 3), bad))
+        with pytest.raises(ValueError, match="q"):
+            SepParams(bad, np.zeros((4, 3, 3)), np.zeros((3, 4, 3)))
+        with pytest.raises(ValueError, match="c must be finite"):
+            SepParams.from_flat_map({"c_0zz": bad})
+
+    def test_flat_map_keys_follow_the_coordinate_table(self):
+        flat = SepParams.zeros().to_flat_map()
+        assert list(flat) == [coord.name for coord in COORDINATES]
+        assert list(flat)[:2] == ["q", "c_0xx"] and list(flat)[36:38] == ["c_zzz", "cp_x0x"]
+        assert [coord.word for coord in COORDINATES[1:37]] == list(SEP_WORDS_AB)
+        assert [coord.word for coord in COORDINATES[37:]] == list(SEP_WORDS_BA)
+        # each word carries the identity on the factor its block cannot signal from
+        assert all(w[3] == "I" for w in SEP_WORDS_AB) and all(w[1] == "I" for w in SEP_WORDS_BA)
+        assert COORDINATES[9] == ("c_0zz", "A<B", "IZZI")
+        assert COORDINATES[61] == ("cp_z0x", "B<A", "ZIIX")
+
+    def test_blocks_match_oracle_sum_of_words(self, rng):
+        for _ in range(5):
+            p = random_feasible_params(rng)
+            for block, words, coeffs in (
+                (ordered_block_ab(p), SEP_WORDS_AB, p.c),
+                (ordered_block_ba(p), SEP_WORDS_BA, p.c_prime),
+            ):
+                oracle = block_matrix(words, coeffs.ravel())
+                np.testing.assert_allclose(block.matrix, oracle, rtol=0, atol=1e-15)
+
 
 class TestFeixFamily:
     def test_pure_ab_point(self):
@@ -239,3 +279,10 @@ class TestFeixFamily:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             FeixParams(0.5, -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, bad):
+        with pytest.raises(ValueError, match="eps"):
+            FeixParams(0.5, bad)
+        with pytest.raises(ValueError, match="q"):
+            FeixParams(np.nan, 0.0)

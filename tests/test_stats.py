@@ -5,6 +5,7 @@ from procmat.instruments import gyni_strategy
 from procmat.operators import identity
 from procmat.process import SepParams, maximally_mixed, ocb_process, separable_from_params
 from procmat.stats import (
+    OBJECTIVES,
     CondProbTable,
     InputDist,
     cond_probs,
@@ -12,6 +13,7 @@ from procmat.stats import (
     game_success,
     joint_dist,
     joint_to_csv,
+    objective,
     table_to_csv,
 )
 
@@ -161,6 +163,23 @@ class TestEntropies:
         joint = rng.uniform(size=(2, 2))
         joint /= joint.sum()
         assert entropies(joint).h_ab == pytest.approx(shannon_bits(joint), abs=1e-12)
+
+    def test_named_objectives_equal_report_fields(self, rng):
+        fields = {"H_AB": "h_ab", "H_A": "h_a", "H_B": "h_b", "H_A_given_B": "h_a_given_b",
+                  "I_AB": "i_ab"}
+        assert tuple(fields) == OBJECTIVES
+        for _ in range(10):
+            joint = rng.dirichlet(np.ones(4)).reshape(2, 2)
+            report = entropies(joint)
+            for name, attr in fields.items():
+                assert objective(name, joint) == getattr(report, attr)
+
+    def test_objective_clamps_negative_roundoff(self):
+        joint = np.array([[0.5, -0.01], [0.25, 0.26]])
+        clamped = np.maximum(joint, 0.0)
+        for name in OBJECTIVES:
+            assert objective(name, joint) == objective(name, clamped)
+        assert objective("H_B", joint) == pytest.approx(shannon_bits([0.75, 0.26]), abs=1e-15)
 
 
 class TestGameSuccess:
