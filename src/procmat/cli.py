@@ -6,8 +6,8 @@ probabilities and Shannon report), ``game`` (guess-your-neighbour score),
 
 Exit status: 0 on success, 1 when a validation check fails, 2 on usage or
 file-parse errors.  Every output document embeds a run manifest (command,
-config echo, library version, RNG generator and seed, duration on the
-monotonic clock).
+config echo, library and numpy versions, CPU count, RNG generator and seed,
+duration on the monotonic clock).
 The environment variable ``PROCMAT_OUT_DIR`` sets the directory for default
 output filenames.
 """
@@ -128,33 +128,40 @@ class _ValidationFailure(Exception):
     """A semantic validation failure (exit status 1)."""
 
 
-def _resolve_inputs(args):
+def _resolve_inputs(args, ins_a, ins_b):
+    """The input distribution, checked against the instruments' (x, y) shape
+    before any process is built."""
+    shape = (len(ins_a.inputs), len(ins_b.inputs))
     if getattr(args, "inputs", None):
         data = _load_json(args.inputs)
-        if isinstance(data, list):
-            probs = np.asarray(data, dtype=float)
-        elif isinstance(data, dict):
-            probs = np.zeros((2, 2))
-            for key, value in data.items():
-                key = str(key)
-                if len(key) != 2 or not set(key) <= {"0", "1"}:
-                    raise FileFormatError(
-                        f"{args.inputs}: bad input key {key!r}: expected 'xy' with x, y in 0, 1"
-                    )
-                probs[int(key[0]), int(key[1])] = float(value)
-        else:
-            raise FileFormatError(f"{args.inputs}: expected a list or object")
         try:
+            if isinstance(data, list):
+                probs = np.asarray(data, dtype=float)
+            elif isinstance(data, dict):
+                probs = np.zeros((2, 2))
+                for key, value in data.items():
+                    key = str(key)
+                    if len(key) != 2 or not set(key) <= {"0", "1"}:
+                        raise ValueError(
+                            f"bad input key {key!r}: expected 'xy' with x, y in 0, 1"
+                        )
+                    probs[int(key[0]), int(key[1])] = float(value)
+            else:
+                raise ValueError("expected a list or object")
+            if probs.shape != shape:
+                raise ValueError(f"expected a {shape[0]} x {shape[1]} table, got {probs.shape}")
             return InputDist(probs), {"inputs": args.inputs}
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise FileFormatError(f"{args.inputs}: {err}") from None
-    return InputDist.uniform(), {"inputs": "uniform"}
+    return InputDist.uniform(*shape), {"inputs": "uniform"}
 
 
 def _manifest(command: str, config: dict, started: float, seed=None) -> dict:
     return {
         "command": command,
         "version": __version__,
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "config": config,
         "rng": {"generator": GENERATOR_NAME if seed is not None else None, "seed": seed},
         "duration_s": round(time.perf_counter() - started, 3),
@@ -222,9 +229,9 @@ def cmd_validate(args) -> int:
 
 def cmd_entropy(args) -> int:
     started = time.perf_counter()
-    process, echo = _resolve_process(args)
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
-    inputs, in_echo = _resolve_inputs(args)
+    inputs, in_echo = _resolve_inputs(args, ins_a, ins_b)
+    process, echo = _resolve_process(args)
     if not process.valid:
         print("process matrix failed validation:", file=sys.stderr)
         for line in process.report.lines():
@@ -340,7 +347,7 @@ def _objective_of_process(cfg: OptimizerConfig, process) -> float:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
-    inputs, in_echo = _resolve_inputs(args)
+    inputs, in_echo = _resolve_inputs(args, ins_a, ins_b)
     cfg = OptimizerConfig(
         restarts=args.restarts,
         sweep_tol=args.tol,

@@ -24,6 +24,13 @@ Restarts are independent: restart i draws its start from a generator seeded
 with seed + i, so results are reproducible and independent of execution
 order.  The generator is numpy's default PCG64.
 
+The Feix plane is I/4 + q M_sym + (1 - q + eps) M_ba with two real
+matrices of one block structure.  ``_FeixEngine`` reads the blocks off their
+sparsity pattern: four 4 x 4 sectors, two of them distinct, so every
+smallest eigenvalue on the plane (grid, eps bound, q interval) is one batched
+real 4 x 4 eigensolve.  The 101 x 101 grid is one such eigensolve and one
+``stats.objective`` call on the stacked joints of its feasible points.
+
 The coordinate layout (q, then the 36 + 36 block coefficients), each
 coordinate's name, block and Pauli word come from ``process.COORDINATES``;
 the objectives are ``stats.objective``.
@@ -84,6 +91,8 @@ def coord_name(coord: int) -> str:
 _WORDS_A = np.stack([pauli_matrix(w[:3]) for w in SEP_WORDS_AB])
 _WORDS_B = np.stack([pauli_matrix(w[0] + w[2:]) for w in SEP_WORDS_BA])
 _EYE8 = np.eye(8, dtype=complex)
+#: the 16 two-letter words in (m, n) row-major order, for the party tables
+_WORDS2 = np.stack([pauli_matrix(a + b) for a in PAULI_LETTERS for b in PAULI_LETTERS])
 
 
 def _block_matrix(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -193,15 +202,12 @@ class _Engine:
         xs = ins.inputs
         n_a = max(len(ins.outcomes(x)) for x in xs)
         table = np.zeros((4, 4, n_a, len(xs)))
-        for m in range(4):
-            for n in range(4):
-                word = pauli_matrix(PAULI_LETTERS[m] + PAULI_LETTERS[n])
-                for ix, x in enumerate(xs):
-                    for ia, a in enumerate(ins.outcomes(x)):
-                        value = np.einsum("ij,ji->", ins.operators[(x, a)].matrix, word)
-                        if abs(value.imag) > 1e-12:
-                            raise ValueError("instrument traces must be real")
-                        table[m, n, ia, ix] = value.real
+        for ix, x in enumerate(xs):
+            for ia, a in enumerate(ins.outcomes(x)):
+                values = np.einsum("ij,kji->k", ins.operators[(x, a)].matrix, _WORDS2)
+                if np.abs(values.imag).max() > 1e-12:
+                    raise ValueError("instrument traces must be real")
+                table[:, :, ia, ix] = values.real.reshape(4, 4)
         return table, n_a
 
     def increments(self, words: Sequence[str]) -> np.ndarray:
@@ -565,8 +571,28 @@ _FEIX_GRID_STEP = 0.01
 _FEIX_BISECTION_STEPS = 31
 
 
+def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the graph whose adjacency
+    matrix is the boolean ``pattern``: the diagonal blocks that every matrix
+    with that sparsity pattern splits into."""
+    reach = pattern | np.eye(len(pattern), dtype=bool)
+    while True:
+        grown = (reach.astype(int) @ reach.astype(int)) > 0
+        if (grown == reach).all():
+            return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+        reach = grown
+
+
 class _FeixEngine:
-    """Joint distribution and feasibility over the (q, eps) plane."""
+    """Joint distribution and feasibility over the (q, eps) plane.
+
+    The process is I/4 + q M_sym + (1 - q + eps) M_ba.  Both matrices are real
+    (every Feix word holds an even number of Y letters) and share a block
+    structure: the connected components of their sparsity graph split the 16
+    basis states into four 4 x 4 sectors, of which two distinct (M_sym, M_ba)
+    pairs remain.  The smallest eigenvalue is the minimum over those pairs of
+    one batched real 4 x 4 ``eigvalsh``.
+    """
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
         engine = _Engine(instrument_a, instrument_b, inputs)
@@ -574,22 +600,65 @@ class _FeixEngine:
         shape = (-1, *self._base.shape)
         self._inc_sym = sum(engine.increments(FEIX_WORDS_AB).reshape(shape)) / 12.0
         self._inc_ba = engine.increments([FEIX_WORD_BA]).reshape(shape)[0] / 4.0
-        self._m_sym = sum(pauli_matrix(w) for w in FEIX_WORDS_AB) / 12.0
-        self._m_ba = pauli_matrix(FEIX_WORD_BA) / 4.0
-        self._eye16 = np.eye(16, dtype=complex)
+        m_sym = sum(pauli_matrix(w) for w in FEIX_WORDS_AB) / 12.0
+        m_ba = pauli_matrix(FEIX_WORD_BA) / 4.0
+        sectors = _sectors((m_sym != 0) | (m_ba != 0))
+        inside = np.zeros(m_sym.shape, dtype=bool)
+        for idx in sectors:
+            inside[np.ix_(idx, idx)] = True
+        for m in (m_sym, m_ba):
+            assert not m.imag.any(), "Feix matrices must be real"
+            assert not m[~inside].any(), "Feix matrices must vanish off the sectors"
+        pairs = {}
+        for idx in sectors:
+            pair = (m_sym[np.ix_(idx, idx)].real, m_ba[np.ix_(idx, idx)].real)
+            pairs.setdefault(b"".join(a.tobytes() for a in pair), pair)
+        self._m_sym = np.stack([sym for sym, _ in pairs.values()])
+        self._m_ba = np.stack([ba for _, ba in pairs.values()])
+        self._eye = np.eye(self._m_sym.shape[-1])
 
-    def joint(self, q: float, eps: float) -> np.ndarray:
+    def joint(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
+        """The joint (a, b) distribution, or a stack of them indexed by the
+        broadcast shape of q and eps."""
+        q = np.asarray(q)[..., None, None]
+        eps = np.asarray(eps)[..., None, None]
         return self._base + q * self._inc_sym + (1.0 - q + eps) * self._inc_ba
 
     def min_eig(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        eps = np.asarray(eps, dtype=float)
-        mats = (
-            self._eye16 * 0.25
-            + q[..., None, None] * self._m_sym
-            + (1.0 - q + eps)[..., None, None] * self._m_ba
-        )
-        return np.linalg.eigvalsh(mats)[..., 0]
+        """Smallest eigenvalue of the process at each broadcast (q, eps)."""
+        q = np.asarray(q, dtype=float)[..., None, None, None]
+        eps = np.asarray(eps, dtype=float)[..., None, None, None]
+        mats = self._eye * 0.25 + q * self._m_sym + (1.0 - q + eps) * self._m_ba
+        return np.linalg.eigvalsh(mats)[..., 0].min(axis=-1)
+
+    def eps_bound(self, q: float, psd_tol: float) -> float:
+        """Largest feasible eps at fixed q, by bisection on the smallest
+        eigenvalue; -1 when eps = 0 is infeasible."""
+        lo, hi = 0.0, 1.0001
+        if self.min_eig(q, lo) < -psd_tol:
+            return -1.0
+        for _ in range(_FEIX_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if self.min_eig(q, mid) >= -psd_tol:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def q_interval(self, q0: float, eps: float, psd_tol: float) -> tuple[float, float]:
+        """Feasible q interval at fixed eps around the feasible q0, by bisection
+        outward from q0 on each side."""
+        ends = []
+        for sign in (-1.0, 1.0):
+            lo, hi = q0, 0.5 + sign * 0.5001
+            for _ in range(_FEIX_BISECTION_STEPS):
+                mid = 0.5 * (lo + hi)
+                if 0.0 <= mid <= 1.0 and self.min_eig(mid, eps) >= -psd_tol:
+                    lo = mid
+                else:
+                    hi = mid
+            ends.append(lo)
+        return min(ends[0], q0), max(ends[1], q0)
 
 
 def feix_maximize(
@@ -597,8 +666,12 @@ def feix_maximize(
 ) -> tuple[FeixParams, float]:
     """Maximize the objective over the PSD region of the Feix family.
 
-    A coarse grid (step 0.01 in q and eps) locates the basin; coordinate
-    golden-section refinement with PSD-interval bisection polishes it.
+    A coarse grid (step 0.01 in q and eps) locates the basin: its feasibility
+    is one batched eigensolve on the 4 x 4 sectors of ``_FeixEngine``, and the
+    objective at all feasible points is one ``stats.objective`` call on their
+    stacked joints; the first maximum in row-major (q, eps) order wins.
+    Coordinate golden-section refinement, with the q and eps intervals found
+    by bisection on the sectors' smallest eigenvalue, polishes it.
     """
     cfg = cfg or OptimizerConfig()
     value = partial(objective, cfg.objective)
@@ -608,49 +681,19 @@ def feix_maximize(
     eps = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
     qq, ee = np.meshgrid(qs, eps, indexing="ij")
     feasible = eng.min_eig(qq, ee) >= -cfg.psd_tol
-    best_q, best_e, best_v = 0.0, 0.0, -math.inf
-    for iq in range(qq.shape[0]):
-        for ie in range(qq.shape[1]):
-            if not feasible[iq, ie]:
-                continue
-            v = value(eng.joint(qq[iq, ie], ee[iq, ie]))
-            if v > best_v:
-                best_q, best_e, best_v = float(qq[iq, ie]), float(ee[iq, ie]), v
-
-    def eps_bound(q: float) -> float:
-        # largest feasible eps at fixed q, by bisection on the smallest eigenvalue
-        lo, hi = 0.0, 1.0001
-        if eng.min_eig(q, lo) < -cfg.psd_tol:
-            return -1.0
-        for _ in range(_FEIX_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if eng.min_eig(q, mid) >= -cfg.psd_tol:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def q_interval(e: float) -> tuple[float, float]:
-        ends = []
-        for sign in (-1.0, 1.0):
-            lo, hi = best_q, 0.5 + sign * 0.5001
-            for _ in range(_FEIX_BISECTION_STEPS):
-                mid = 0.5 * (lo + hi)
-                if 0.0 <= mid <= 1.0 and eng.min_eig(mid, e) >= -cfg.psd_tol:
-                    lo = mid
-                else:
-                    hi = mid
-            ends.append(lo)
-        return min(ends[0], best_q), max(ends[1], best_q)
+    q_grid, e_grid = qq[feasible], ee[feasible]
+    grid_values = value(eng.joint(q_grid, e_grid))
+    k = int(np.argmax(grid_values))
+    best_q, best_e, best_v = float(q_grid[k]), float(e_grid[k]), float(grid_values[k])
 
     for _ in range(60):
         moved = 0.0
-        lo_q, hi_q = q_interval(best_e)
+        lo_q, hi_q = eng.q_interval(best_q, best_e, cfg.psd_tol)
         tq, vq = _golden_max(lambda t: value(eng.joint(t, best_e)), lo_q, hi_q, cfg.line_tol)
         if vq > best_v:
             moved = max(moved, abs(tq - best_q))
             best_q, best_v = tq, vq
-        top = eps_bound(best_q)
+        top = eng.eps_bound(best_q, cfg.psd_tol)
         if top >= 0.0:
             te, ve = _golden_max(lambda t: value(eng.joint(best_q, t)), 0.0, top, cfg.line_tol)
             if ve > best_v:

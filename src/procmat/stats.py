@@ -65,6 +65,8 @@ class InputDist:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError(f"input distribution must be indexed (x, y); got {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise ValueError("input probabilities must be finite")
         if probs.min() < 0.0:
             raise ValueError("input probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -147,15 +149,21 @@ def joint_dist(table: CondProbTable, inputs: InputDist | None = None) -> np.ndar
         )
     joint = np.einsum("abxy,xy->ab", table.probs, inputs.probs)
     total = joint.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"joint distribution sums to {total!r}")
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # a NaN total fails too
+        raise ValueError(f"joint distribution sums to {float(total)!r}")
     return joint
 
 
-def _entropy(p: np.ndarray) -> float:
-    # the mask also flattens a 2-D joint, in row-major order
-    p = p[p > ZERO_PROB]
-    return float(-(p * np.log2(p)).sum())
+def _entropy(p: np.ndarray, axes: int) -> np.ndarray:
+    """Entropy in bits of each distribution held in the last ``axes`` axes of
+    ``p`` (one value per leading index; a 0-d array for a single one).
+
+    Entries not above 1e-15 are replaced by 1, whose term 1 log 1 is exactly
+    +0.0, so they drop out of the sum without changing it.
+    """
+    p = p.reshape(p.shape[: p.ndim - axes] + (-1,)).copy()
+    p[~(p > ZERO_PROB)] = 1.0
+    return -np.add.reduce(p * np.log2(p), axis=-1)
 
 
 def entropies(joint: np.ndarray) -> EntropyReport:
@@ -164,9 +172,9 @@ def entropies(joint: np.ndarray) -> EntropyReport:
     Uses the convention 0 log 0 = 0; entries below 1e-15 count as exact zeros.
     """
     joint = np.asarray(joint, dtype=float)
-    h_ab = _entropy(joint)
-    h_a = _entropy(joint.sum(axis=1))
-    h_b = _entropy(joint.sum(axis=0))
+    h_ab = float(_entropy(joint, 2))
+    h_a = float(_entropy(joint.sum(axis=1), 1))
+    h_b = float(_entropy(joint.sum(axis=0), 1))
     return EntropyReport(
         h_ab=h_ab,
         h_a=h_a,
@@ -176,28 +184,32 @@ def entropies(joint: np.ndarray) -> EntropyReport:
     )
 
 
-#: each Shannon quantity of a nonnegative joint (a, b) distribution, computing
-#: only the entropies it needs; the keys are the objective names
+#: each Shannon quantity of a nonnegative joint distribution, or of a stack of
+#: them indexed (..., a, b), computing only the entropies it needs; the keys
+#: are the objective names
 _QUANTITIES = {
-    "H_AB": _entropy,
-    "H_A": lambda joint: _entropy(joint.sum(axis=1)),
-    "H_B": lambda joint: _entropy(joint.sum(axis=0)),
-    "H_A_given_B": lambda joint: _entropy(joint) - _entropy(joint.sum(axis=0)),
+    "H_AB": lambda joint: _entropy(joint, 2),
+    "H_A": lambda joint: _entropy(joint.sum(axis=-1), 1),
+    "H_B": lambda joint: _entropy(joint.sum(axis=-2), 1),
+    "H_A_given_B": lambda joint: _entropy(joint, 2) - _entropy(joint.sum(axis=-2), 1),
     "I_AB": lambda joint: (
-        _entropy(joint.sum(axis=1)) + _entropy(joint.sum(axis=0)) - _entropy(joint)
+        _entropy(joint.sum(axis=-1), 1) + _entropy(joint.sum(axis=-2), 1) - _entropy(joint, 2)
     ),
 }
 OBJECTIVES = tuple(_QUANTITIES)
 
 
-def objective(name: str, joint: np.ndarray) -> float:
+def objective(name: str, joint: np.ndarray) -> float | np.ndarray:
     """The named Shannon quantity (one of ``OBJECTIVES``) of a joint (a, b)
-    distribution, in bits, as :func:`entropies` reports it.
+    distribution, in bits, as :func:`entropies` reports it; of a stack of
+    joints indexed (..., a, b), the array of the per-joint values, each equal
+    bitwise to the value of its joint alone.
 
     Negative entries (roundoff of an affine map to the joint) are clamped to
     zero first.
     """
-    return _QUANTITIES[name](np.maximum(joint, 0.0))
+    value = _QUANTITIES[name](np.maximum(joint, 0.0))
+    return float(value) if value.ndim == 0 else value
 
 
 def game_success(table: CondProbTable) -> float:

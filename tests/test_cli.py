@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -161,6 +162,35 @@ class TestEntropy:
         assert code == 2
         assert "inputs.json" in err and repr(key) in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"00": NaN, "01": 0.5, "10": 0.25, "11": 0.25}', "finite"),
+            ('{"00": "a", "01": 0.5}', "could not convert"),
+            ('{"00": null}', "float"),
+            ("[[0.5, 0.5]]", "2 x 2"),
+            ("[[0.5], [0.25, 0.25]]", "sequence"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [("entropy", "ocb"), ("optimize", "feix")])
+    def test_malformed_inputs_file_named_with_exit_2(
+        self, capsys, tmp_path, monkeypatch, text, message, command
+    ):
+        import procmat.cli as cli
+
+        def no_process(*_):
+            raise AssertionError("a process was built before the inputs were checked")
+
+        monkeypatch.setattr(cli, "ocb_process", no_process)
+        path = tmp_path / "inputs.json"
+        path.write_text(text)
+        if command[0] == "optimize":
+            command += ("--out", str(tmp_path / "out.json"))
+        code, out, err = run_cli(capsys, *command, "--inputs", str(path))
+        assert code == 2
+        assert "inputs.json" in err and message in err
+        assert out == ""
+
     @pytest.mark.parametrize("party_a", [[1, 2], {"0,0": 5}])
     def test_instruments_entry_not_an_object_exit_2(self, capsys, tmp_path, party_a):
         from procmat.instruments import gyni_strategy, instrument_to_pauli_maps
@@ -227,6 +257,15 @@ class TestOptimize:
         assert doc["best_value"] == pytest.approx(1.68, abs=0.02)
         assert doc["verdict"] == "inequality not satisfied"
         assert doc["manifest"]["rng"]["generator"].startswith("numpy PCG64")
+
+    def test_manifest_records_numpy_version_and_cpu_count(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "optimize", "feix", "--out", str(tmp_path / "feix.json"), "--format", "json"
+        )
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert manifest["numpy"] == np.__version__
+        assert manifest["cpu_count"] == os.cpu_count()
 
     def test_sep_small_run_deterministic(self, capsys, tmp_path):
         args = [

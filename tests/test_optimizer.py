@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from procmat.instruments import gyni_strategy
+from procmat.operators import PAULI_LETTERS
 from procmat.optimizer import (
     N_COORDS,
+    OBJECTIVES,
     OptimizerConfig,
     _Engine,
+    _FeixEngine,
     coord_name,
     coordinate_ascent,
     feasible_interval,
@@ -20,14 +23,23 @@ from procmat.optimizer import (
 from procmat.process import (
     SEP_WORDS_AB,
     SEP_WORDS_BA,
+    FeixParams,
     InfeasibleParamsError,
     SepParams,
+    feix_process,
     sep_feasibility,
     separable_from_params,
 )
 from procmat.stats import InputDist, cond_probs, entropies, joint_dist
 
-from oracles import bisect_interval, block_matrix, gyni_ops, naive_cond_probs
+from oracles import (
+    bisect_interval,
+    block_matrix,
+    gyni_ops,
+    naive_cond_probs,
+    naive_trace_product,
+    word_matrix,
+)
 
 # coordinate indices used repeatedly: 0 is q, then the first block's
 # coefficients in (alpha, i, j) lexicographic order, then the second block's
@@ -418,6 +430,70 @@ class TestFeixMaximize:
         assert value >= entropies(joint_dist(table)).h_ab - 1e-9
 
 
+class TestFeixSectors:
+    """The sector eigensolve of the Feix plane against the 16 x 16 process."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return _FeixEngine(gyni_strategy("A"), gyni_strategy("B"), InputDist.uniform())
+
+    @staticmethod
+    def full_min_eig(q, eps):
+        return np.linalg.eigvalsh(feix_process(FeixParams(q, eps)).op.matrix)[0]
+
+    def test_two_distinct_real_four_by_four_sectors(self, engine):
+        assert engine._m_sym.shape == engine._m_ba.shape == (2, 4, 4)
+        assert engine._m_sym.dtype == engine._m_ba.dtype == np.float64
+
+    def test_min_eig_matches_full_process(self, engine, rng):
+        points = [(1.0, 0.0), (0.0, 0.0), (0.5, 0.0)]
+        points += [(rng.uniform(), rng.uniform(0.0, 1.2)) for _ in range(40)]
+        for q in (0.0, 0.3, 0.77, 1.0):
+            top = engine.eps_bound(q, 1e-10)
+            points += [(q, top), (q, min(top + 1e-9, 1.0001))]
+        for q, eps in points:
+            assert engine.min_eig(q, eps) == pytest.approx(self.full_min_eig(q, eps), abs=1e-14)
+
+    def test_eps_bound_endpoint_is_the_psd_edge(self, engine):
+        for q in (0.0, 0.3, 0.77, 1.0):
+            top = engine.eps_bound(q, 1e-10)
+            assert self.full_min_eig(q, top) >= -1e-10
+            assert self.full_min_eig(q, top + 1e-8) < -1e-10
+
+    def test_grid_feasibility_mask_matches_full_eigensolve(self, engine):
+        grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
+        qq, ee = np.meshgrid(grid, grid, indexing="ij")
+        mats = (
+            np.eye(16) * 0.25
+            + qq[..., None, None] * sum(word_matrix(w) for w in ("IXXI", "IYYI", "IZZI")) / 12
+            + (1.0 - qq + ee)[..., None, None] * word_matrix("ZIXZ") / 4
+        )
+        full = np.linalg.eigvalsh(mats)[..., 0]
+        sector = engine.min_eig(qq, ee)
+        assert np.abs(sector - full).max() <= 1e-14
+        np.testing.assert_array_equal(sector >= -1e-10, full >= -1e-10)
+
+    def test_batched_joint_equals_single_points_bitwise(self, engine, rng):
+        q, eps = rng.uniform(size=30), rng.uniform(size=30)
+        stacked = engine.joint(q, eps)
+        for k in range(30):
+            assert stacked[k].tobytes() == engine.joint(float(q[k]), float(eps[k])).tobytes()
+
+
+class TestPartyTables:
+    def test_tables_match_naive_traces(self):
+        for party in ("A", "B"):
+            ins = gyni_strategy(party)
+            table, _ = _Engine._party_tables(ins)
+            for m, first in enumerate(PAULI_LETTERS):
+                for n, second in enumerate(PAULI_LETTERS):
+                    word = word_matrix(first + second)
+                    for ix, x in enumerate(ins.inputs):
+                        for ia, a in enumerate(ins.outcomes(x)):
+                            value = naive_trace_product(ins.operators[(x, a)].matrix, word)
+                            assert table[m, n, ia, ix] == pytest.approx(value.real, abs=1e-15)
+
+
 class TestConfigValidation:
     def test_bad_objective(self):
         with pytest.raises(ValueError, match="objective"):
@@ -456,6 +532,16 @@ class TestSeededResults:
     def test_feix_maximize_reproduces_pinned_optimum(self):
         expected = SEEDED["feix_H_AB"]
         params, value = feix_maximize(OptimizerConfig(objective="H_AB"))
+        pinned = [expected["q"], expected["eps"], expected["value"]]
+        assert [params.q, params.eps, value] == pytest.approx(pinned, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_feix_maximize_reproduces_pinned_optima(self, kind, objective):
+        pins = SEEDED[f"feix_{kind}"]
+        inputs = InputDist(np.array(pins["inputs"])) if kind == "dirichlet" else InputDist.uniform()
+        params, value = feix_maximize(OptimizerConfig(objective=objective, inputs=inputs))
+        expected = pins[objective]
         pinned = [expected["q"], expected["eps"], expected["value"]]
         assert [params.q, params.eps, value] == pytest.approx(pinned, rel=0, abs=1e-12)
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,18 @@ class TestJointDist:
         with pytest.raises(ValueError, match="nonnegative"):
             InputDist(np.array([[1.5, -0.5], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_probabilities_rejected(self, bad):
+        # NaN passes both `min() < 0` and `abs(sum - 1) > tol` unnoticed
+        with pytest.raises(ValueError, match="finite"):
+            InputDist(np.array([[bad, 0.5], [0.25, 0.25]]))
+
+    def test_nan_joint_fails_normalization(self, ocb_table):
+        # an input table that bypasses InputDist's own check
+        inputs = SimpleNamespace(probs=np.array([[np.nan, 0.5], [0.25, 0.25]]))
+        with pytest.raises(ValueError, match="sums to nan"):
+            joint_dist(ocb_table, inputs)
+
 
 class TestEntropies:
     def test_uniform_joint(self):
@@ -180,6 +194,19 @@ class TestEntropies:
         for name in OBJECTIVES:
             assert objective(name, joint) == objective(name, clamped)
         assert objective("H_B", joint) == pytest.approx(shannon_bits([0.75, 0.26]), abs=1e-15)
+
+    def test_stack_equals_per_joint_calls_bitwise(self, rng):
+        joints = rng.dirichlet(np.full(4, 0.3), size=2000).reshape(50, 40, 2, 2)
+        joints[::3, ::7, 0, 1] = 0.0
+        joints[::2, ::5, 1, 0] = 3e-16
+        joints[1::4, ::3, 1, 1] = 1e-15
+        joints[::5, 1::6, 0, 0] = -1e-17
+        for name in OBJECTIVES:
+            stacked = objective(name, joints)
+            assert stacked.shape == (50, 40)
+            single = np.array([[objective(name, j) for j in row] for row in joints])
+            assert stacked.tobytes() == single.tobytes()
+            assert isinstance(objective(name, joints[0, 0]), float)
 
 
 class TestGameSuccess:
