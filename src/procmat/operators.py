@@ -8,6 +8,7 @@ The canonical four-factor order used throughout the package is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -307,8 +308,8 @@ def from_pauli_map(
 ) -> HermitianOperator:
     """Rebuild an operator from its Pauli-coefficient map.
 
-    Unknown letters or inconsistent word lengths are rejected with the
-    offending key named.
+    Unknown letters, inconsistent word lengths and non-finite coefficients
+    are rejected with the offending key named.
     """
     if labels is None:
         labels = CANONICAL_LABELS
@@ -324,5 +325,7 @@ def from_pauli_map(
             value = float(coeff)
         except (TypeError, ValueError):
             raise ValueError(f"bad coefficient for key {word!r}: {coeff!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient for key {word!r} must be finite, got {value}")
         mat += value * pauli_term(word.upper(), labels).matrix
     return HermitianOperator(tuple(labels), mat)

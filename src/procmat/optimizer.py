@@ -16,9 +16,14 @@ Coordinate lines along which the distribution is exactly constant cannot be
 ranked by the objective.  They are read off the affine joint map (a zero
 increment row, or a block of weight 0).  Before the ascent proper, such
 coordinates are moved to the point maximizing the block's smallest
-eigenvalue (also concave along a line), so unranked directions do not
-consume feasibility slack that the ranked ones need; during the ascent a
-coordinate moves only on strict improvement.
+eigenvalue, so unranked directions do not consume feasibility slack that the
+ranked ones need.  That eigenvalue is concave along the line, and one eigh
+gives its first and second derivatives (v0^dagger P v0 and the second-order
+perturbation sum), so a bracketed Newton search, with the tangents' meeting
+point at kinks, finds the maximum in about five eigensolves (see
+:func:`_slack_max`).  Every point whose smallest eigenvalue exceeds that of
+the feasible incumbent is feasible, so centering needs no interval.  Both in
+centering and in the ascent a coordinate moves only on strict improvement.
 
 Restarts are independent: restart i draws its start from a generator seeded
 with seed + i, so results are reproducible and independent of execution
@@ -76,6 +81,12 @@ N_COORDS = len(COORDINATES)
 _ENDPOINT_SLACK = 0.5
 
 _INIT_SCALE = 0.05
+#: the centering search does not probe a final Newton step whose predicted
+#: gain in the smallest eigenvalue is below this (eigh resolves it to about
+#: 1e-16 on these blocks)
+_SLACK_RESOLUTION = 1e-14
+#: a bound on eigh calls per centering line; measured searches take 2-10
+_SLACK_MAX_PROBES = 100
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -86,10 +97,32 @@ def coord_name(coord: int) -> str:
     return COORDINATES[coord].name
 
 
+#: the two fixed-order blocks, in the order of ``_State.coeffs``
+_BLOCKS = ("A<B", "B<A")
 # each block is searched on the three factors it does not hold at the
 # identity: A<B drops B_O (letter 3 of its words), B<A drops A_O (letter 1)
-_WORDS_A = np.stack([pauli_matrix(w[:3]) for w in SEP_WORDS_AB])
-_WORDS_B = np.stack([pauli_matrix(w[0] + w[2:]) for w in SEP_WORDS_BA])
+_BLOCK_WORDS = (
+    np.stack([pauli_matrix(w[:3]) for w in SEP_WORDS_AB]),
+    np.stack([pauli_matrix(w[0] + w[2:]) for w in SEP_WORDS_BA]),
+)
+
+
+def _slot_table() -> tuple[tuple[int | None, int], ...]:
+    """(block, position) of each coordinate: the index into ``_BLOCKS`` and
+    the coordinate's place in that block's coefficient vector; q has block
+    None."""
+    filled = dict.fromkeys(_BLOCKS, 0)
+    slots = []
+    for coord in COORDINATES:
+        if coord.block is None:
+            slots.append((None, 0))
+        else:
+            slots.append((_BLOCKS.index(coord.block), filled[coord.block]))
+            filled[coord.block] += 1
+    return tuple(slots)
+
+
+_SLOTS = _slot_table()
 _EYE8 = np.eye(8, dtype=complex)
 #: the 16 two-letter words in (m, n) row-major order, for the party tables
 _WORDS2 = np.stack([pauli_matrix(a + b) for a in PAULI_LETTERS for b in PAULI_LETTERS])
@@ -192,8 +225,8 @@ class _Engine:
         self._tb = t_b
         base = np.einsum("ay,by->ab", self._wa[0, 0], t_b[0, 0]) / 4.0
         self.base_joint = base
-        self.inc_a = self.increments(SEP_WORDS_AB)
-        self.inc_b = self.increments(SEP_WORDS_BA)
+        # one joint increment row per block coefficient, blocks as in _BLOCKS
+        self.incs = (self.increments(SEP_WORDS_AB), self.increments(SEP_WORDS_BA))
         self._base_flat = base.reshape(-1)
 
     @staticmethod
@@ -220,60 +253,54 @@ class _Engine:
         """Whether moving block coordinate ``coord`` leaves the joint
         distribution unchanged: its increment row is zero, or its block's
         weight (q for the first block, 1 - q for the second) is 0."""
-        if coord <= 36:
-            return q == 0.0 or not self.inc_a[coord - 1].any()
-        return q == 1.0 or not self.inc_b[coord - 37].any()
+        block, idx = _SLOTS[coord]
+        return (q, 1.0 - q)[block] == 0.0 or not self.incs[block][idx].any()
 
     def joint(self, state: _State) -> np.ndarray:
         """The joint (a, b) distribution at a search point."""
-        q = state.q
-        flat = self._base_flat + q * (state.c @ self.inc_a) + (1.0 - q) * (state.cp @ self.inc_b)
+        q, (c, cp), (inc_a, inc_b) = state.q, state.coeffs, self.incs
+        flat = self._base_flat + q * (c @ inc_a) + (1.0 - q) * (cp @ inc_b)
         return flat.reshape(self.n_a, self.n_b)
 
 
 class _State:
     """Mutable unpacked parameters used inside one ascent run."""
 
-    __slots__ = ("q", "c", "cp")
+    __slots__ = ("q", "coeffs")
 
     def __init__(self, params: SepParams):
         self.q = float(params.q)
-        self.c = params.c.ravel().copy()
-        self.cp = params.c_prime.ravel().copy()
+        # the flat coefficient vectors of the blocks in _BLOCKS
+        self.coeffs = (params.c.ravel().copy(), params.c_prime.ravel().copy())
 
     def to_params(self) -> SepParams:
-        return SepParams(self.q, self.c.reshape(4, 3, 3), self.cp.reshape(3, 4, 3))
+        c, cp = self.coeffs
+        return SepParams(self.q, c.reshape(4, 3, 3), cp.reshape(3, 4, 3))
 
     def get(self, coord: int) -> float:
-        if coord == 0:
+        block, idx = _SLOTS[coord]
+        if block is None:
             return self.q
-        if coord <= 36:
-            return float(self.c[coord - 1])
-        return float(self.cp[coord - 37])
+        return float(self.coeffs[block][idx])
 
     def set(self, coord: int, value: float):
-        if coord == 0:
+        block, idx = _SLOTS[coord]
+        if block is None:
             self.q = float(value)
-        elif coord <= 36:
-            self.c[coord - 1] = value
         else:
-            self.cp[coord - 37] = value
+            self.coeffs[block][idx] = value
 
     def min_eigs(self) -> tuple[float, float]:
         """Smallest eigenvalues of the two fixed-order blocks."""
-        return (
-            _min_eig(_block_matrix(self.c, _WORDS_A)),
-            _min_eig(_block_matrix(self.cp, _WORDS_B)),
-        )
+        ab, ba = (_min_eig(_block_matrix(*pair)) for pair in zip(self.coeffs, _BLOCK_WORDS))
+        return ab, ba
 
 
 def _coord_line(state: _State, coord: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(block matrix at the incumbent, the coordinate's Pauli word, incumbent
     value) of a block coordinate: the block along the line is A + (t - t0) P."""
-    if coord <= 36:
-        coeffs, words, idx = state.c, _WORDS_A, coord - 1
-    else:
-        coeffs, words, idx = state.cp, _WORDS_B, coord - 37
+    block, idx = _SLOTS[coord]
+    coeffs, words = state.coeffs[block], _BLOCK_WORDS[block]
     return _block_matrix(coeffs, words), words[idx], float(coeffs[idx])
 
 
@@ -452,27 +479,98 @@ def line_maximize(
     return best_v, best_t
 
 
+def _slack_probe(
+    block: np.ndarray, word: np.ndarray, s: float
+) -> tuple[float, float, float, float]:
+    """One eigh of A + sP: (lam, g, h, largest eigenvalue), with lam the
+    smallest eigenvalue, g = v0^dagger P v0 and h = 2 sum_k |v_k^dagger P v0|^2
+    / (lam - lam_k), its first and second derivatives in s where lam is
+    simple.  The 1e-300 keeps an exactly degenerate pair finite: a zero
+    coupling adds 0, a nonzero one a huge negative h."""
+    lam, vecs = np.linalg.eigh(block + s * word)
+    pv = (word @ vecs[:, 0]) @ vecs.conj()
+    coupling = (pv * pv.conj()).real
+    h = 2.0 * float((coupling[1:] / (lam[0] - lam[1:] - 1e-300)).sum())
+    return float(lam[0]), float(pv[0].real), h, float(lam[-1])
+
+
+def _slack_max(block: np.ndarray, word: np.ndarray, tol: float) -> tuple[float, float, float]:
+    """Maximize lam(s), the smallest eigenvalue of A + sP, starting from s = 0.
+
+    lam is concave, and g from :func:`_slack_probe` is a supergradient of it
+    even where two branches cross, so the sign of g tells on which side of s
+    the maximum lies.  The search keeps a bracket [a, b] around the maximum
+    with a line above lam at each end: the tangent there once the end has
+    been probed.  Before that, the ends are s = +-(lam_max(A) - lam(0)) with
+    the lines lam_max(A) -+ s, which bound lam from above (take
+    u^dagger (A + sP) u for a -+1 eigenvector u of P) and fall to lam(0) at
+    those ends.
+
+    Each step goes to the Newton point s - g/h if h < 0, the point lies
+    inside the bracket and the quadratic model's value there is below both
+    lines.  Otherwise (near a kink, or at h = 0 where the branches of
+    commuting words cross exactly) it goes to where the two lines meet, which
+    is the maximum at a kink, and if that point is not inside the bracket, to
+    the midpoint.  The search stops after a step of at most ``tol`` or when
+    the bracket is that narrow; a final Newton step that short is not probed
+    when the gain it predicts is below ``_SLACK_RESOLUTION``.
+
+    Returns (s, lam(s), lam(0)) for the best point probed.
+    """
+    f, g, h, top = _slack_probe(block, word, 0.0)
+    lam0 = best_f = f
+    s = best_s = 0.0
+    reach = top - lam0
+    # bracket ends with their upper-bounding lines: (end, value there, slope)
+    a, fa, ga = -reach, lam0, 1.0
+    b, fb, gb = reach, lam0, -1.0
+    for _ in range(_SLACK_MAX_PROBES):
+        if g > 0.0:
+            a, fa, ga = s, f, g
+        elif g < 0.0:
+            b, fb, gb = s, f, g
+        else:
+            break
+        if b - a <= tol:
+            break
+        newton = h < 0.0 and a < s - g / h < b
+        if newton:
+            t = s - g / h
+            gain = 0.5 * g * (t - s)
+            if abs(t - s) <= tol and gain <= _SLACK_RESOLUTION:
+                break
+            newton = f + gain <= min(fa + ga * (t - a), fb + gb * (t - b))
+        if not newton:
+            t = a + (fb - fa - gb * (b - a)) / (ga - gb)
+            if not a < t < b:
+                t = 0.5 * (a + b)
+        step, s = t - s, t
+        f, g, h, _ = _slack_probe(block, word, s)
+        if f > best_f:
+            best_s, best_f = s, f
+        if abs(step) <= tol:
+            break
+    return best_s, best_f, lam0
+
+
 def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig):
     """Move objective-flat coordinates to their maximum-slack points.
 
     Iterated until the flat set stops moving; each accepted move strictly
-    increases the block's smallest eigenvalue, and the objective value is
-    unchanged by construction.
+    increases the block's smallest eigenvalue, so it keeps a feasible point
+    feasible, and the objective value is unchanged by construction.
     """
     coords = [k for k in cfg.active_coords() if k != 0 and engine.is_flat(k, state.q)]
     for _ in range(50):
         moved = 0.0
         for coord in coords:
             block, word, t0 = _coord_line(state, coord)
-            lo, hi = _line_interval(block, word, t0, cfg.psd_tol, COORDINATES[coord].block)
-
-            def slack(t: float) -> float:
-                return _min_eig(block + (t - t0) * word)
-
-            ts, vs = _golden_max(slack, lo, hi, cfg.line_tol)
-            if vs > slack(t0):
-                moved = max(moved, abs(ts - t0))
-                state.set(coord, ts)
+            s, lam, lam0 = _slack_max(block, word, cfg.line_tol)
+            if lam0 < -cfg.psd_tol:
+                raise InfeasibleParamsError(COORDINATES[coord].block, lam0)
+            if lam > lam0:
+                moved = max(moved, abs(s))
+                state.set(coord, t0 + s)
         if moved < cfg.sweep_tol:
             break
 

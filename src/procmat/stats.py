@@ -29,8 +29,9 @@ class CondProbTable:
     """Conditional outcome probabilities indexed (a, b, x, y).
 
     Entries in [-1e-12, 0) are clamped to zero (eigensolver/trace roundoff);
-    anything more negative, or a per-(x,y) sum off unity by more than 1e-10,
-    signals an invalid process or instrument and is rejected.
+    anything more negative, a per-(x,y) sum off unity by more than 1e-10, or
+    a non-finite entry signals an invalid process or instrument and is
+    rejected.
     """
 
     probs: np.ndarray
@@ -39,6 +40,8 @@ class CondProbTable:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 4:
             raise ValueError(f"table must be indexed (a, b, x, y); got shape {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         low = probs.min()
         if low < -NEGATIVITY_TOL:
             raise ValueError(f"probability {low:.3e} below -{NEGATIVITY_TOL}: invalid inputs")

@@ -144,3 +144,33 @@ def bisect_interval(block_at, t0, tol, bracket=0.2501, steps=31):
                 hi = mid
         ends.append(lo)
     return ends[0], ends[1]
+
+
+def slack_max(block, word, lo, hi, points=2001, tol=1e-13):
+    """Maximum over s in [lo, hi] of the smallest eigenvalue of block + s word.
+
+    A dense grid (one batched eigvalsh) picks the best grid point; a
+    golden-section search over its two neighbouring cells, valid because the
+    smallest eigenvalue is concave in s, polishes it.  Returns (s, value).
+    """
+    def smallest(s):
+        return float(np.linalg.eigvalsh(block + s * word)[0])
+
+    grid = np.linspace(lo, hi, points)
+    values = np.linalg.eigvalsh(block[None] + grid[:, None, None] * word[None])[:, 0]
+    k = int(np.argmax(values))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - ratio * (b - a), a + ratio * (b - a)
+    f1, f2 = smallest(x1), smallest(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + ratio * (b - a)
+            f2 = smallest(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - ratio * (b - a)
+            f1 = smallest(x1)
+    candidates = [(float(grid[k]), float(values[k])), (x1, f1), (x2, f2)]
+    return max(candidates, key=lambda item: item[1])

@@ -46,6 +46,21 @@ class TestValidate:
         assert code == 2
         assert "WXYZ" in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"IIII": NaN}', "IIII"), ('{"IIII": 0.25, "XIII": Infinity}', "XIII")],
+    )
+    def test_non_finite_coefficient_named_with_exit_2(
+        self, capsys, recwarn, tmp_path, text, key
+    ):
+        path = tmp_path / "coeffs.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "--file", str(path))
+        assert code == 2
+        assert "coeffs.json" in err and key in err and "finite" in err
+        assert out == ""
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_unparseable_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

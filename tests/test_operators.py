@@ -259,6 +259,11 @@ class TestPauliMapFormat:
         with pytest.raises(ValueError, match="ZZZI"):
             from_pauli_map({"ZZZI": "not-a-number"})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_named_in_error(self, value):
+        with pytest.raises(ValueError, match="XIII.*finite"):
+            from_pauli_map({"IIII": 0.25, "XIII": value})
+
     def test_two_letter_words_for_party_spaces(self):
         mapping = {"II": 0.5, "ZZ": 0.25}
         op = from_pauli_map(mapping, (A_IN, A_OUT))

@@ -10,8 +10,13 @@ from procmat.optimizer import (
     N_COORDS,
     OBJECTIVES,
     OptimizerConfig,
+    _center_unranked,
+    _coord_line,
     _Engine,
     _FeixEngine,
+    _line_interval,
+    _slack_max,
+    _State,
     coord_name,
     coordinate_ascent,
     feasible_interval,
@@ -38,6 +43,7 @@ from oracles import (
     gyni_ops,
     naive_cond_probs,
     naive_trace_product,
+    slack_max,
     word_matrix,
 )
 
@@ -212,6 +218,56 @@ class TestFlatCoordinates:
         assert all(engine.is_flat(k, 0.0) for k in range(1, 37))
         assert all(engine.is_flat(k, 1.0) for k in range(37, N_COORDS))
         assert not engine.is_flat(COORD_C_0ZZ, 1.0)
+
+
+class TestSlackMax:
+    """The centering search: the largest smallest eigenvalue of A + sP."""
+
+    LINE_TOL = OptimizerConfig().line_tol
+
+    def test_random_lines_reach_oracle_maximum(self, monkeypatch):
+        engine = TestFlatCoordinates().engine()
+        rng = np.random.default_rng(4)
+        solves = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
+        probes = []
+        for seed in range(40):
+            state = _State(random_feasible_init(seed))
+            flat = [k for k in range(1, N_COORDS) if engine.is_flat(k, state.q)]
+            coord = int(rng.choice(flat))
+            block, word, t0 = _coord_line(state, coord)
+            solves.clear()
+            s, lam, lam0 = _slack_max(block, word, self.LINE_TOL)
+            probes.append(len(solves))
+            # a feasible coefficient obeys |t| <= 1/4, and the maximizer is feasible
+            _, best = slack_max(block, word, -0.25 - t0, 0.25 - t0)
+            assert lam >= best - 1e-12
+            assert lam >= lam0 == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-15)
+            assert lam == pytest.approx(np.linalg.eigvalsh(block + s * word)[0], abs=1e-15)
+            lo, hi = _line_interval(block, word, t0, 1e-10, "block")
+            assert lo <= t0 + s <= hi
+        # measured 4.0 eigh per line; without the Newton steps it takes about 19
+        assert sum(probes) <= 6 * len(probes)
+
+    @pytest.mark.parametrize("a, b", [(0.05, 0.03), (-0.04, -0.07), (0.0, 0.12), (0.1, 0.0)])
+    def test_exact_crossing_kink(self, a, b):
+        # the words commute: lam(s) = 1/4 - |a| - |b + s|, with h = 0 everywhere
+        block = np.eye(8) / 4 + a * word_matrix("ZII") + b * word_matrix("ZZI")
+        s, lam, lam0 = _slack_max(block, word_matrix("ZZI"), self.LINE_TOL)
+        assert s == pytest.approx(-b, abs=1e-9)
+        assert lam == pytest.approx(0.25 - abs(a), abs=1e-15)
+        assert lam0 == pytest.approx(0.25 - abs(a) - abs(b), abs=1e-15)
+
+    def test_infeasible_incumbent_raises_naming_the_block(self):
+        cfg = OptimizerConfig()
+        engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
+        state = _State(SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}))
+        with pytest.raises(InfeasibleParamsError) as err:
+            _center_unranked(state, engine, cfg)
+        assert err.value.block == "B<A"
+        assert err.value.min_eig == pytest.approx(0.25 - 0.4, abs=1e-12)
+        assert str(err.value) == str(InfeasibleParamsError("B<A", err.value.min_eig))
 
 
 def _coord_value(p, coord):

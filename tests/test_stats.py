@@ -258,6 +258,13 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="deviate"):
             CondProbTable(np.full((2, 2, 2, 2), 0.3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        probs = np.full((2, 2, 2, 2), 0.25)
+        probs[0, 0, 1, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            CondProbTable(probs)
+
 
 class TestNoSignalling:
     def test_alice_marginal_ignores_bob_input_for_ab_order(self, rng, strategy):
