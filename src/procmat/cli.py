@@ -3,9 +3,11 @@
 Subcommands: ``validate`` (check a process matrix), ``entropy`` (outcome
 probabilities and Shannon report), ``game`` (guess-your-neighbour score),
 ``optimize`` (entropy maximization over the separable or Feix family).
+Each builds one result document, which ``_emit`` renders as text, JSON or CSV.
 
 Exit status: 0 on success, 1 when a validation check fails, 2 on usage or
-file-parse errors.  Every output document embeds a run manifest (command,
+file-parse errors or an unwritable output path (checked before any search).
+Every output document embeds a run manifest (command,
 config echo, library and numpy versions, CPU count, RNG generator and seed,
 duration on the monotonic clock).
 The environment variable ``PROCMAT_OUT_DIR`` sets the directory for default
@@ -46,38 +48,55 @@ from .stats import (
     cond_probs,
     game_success,
     joint_dist,
-    joint_to_csv,
     objective,
-    table_to_csv,
 )
 
 CAUSAL_BOUND = 0.5
 
 
-class FileFormatError(Exception):
-    """An input file that cannot be parsed (exit status 2)."""
+class FileFormatError(ValueError):
+    """An input file that cannot be parsed, or an output path that cannot be
+    written (exit status 2)."""
 
 
-def _load_json(path: str):
+class _ValidationFailure(Exception):
+    """A semantic validation failure (exit status 1)."""
+
+
+def _read(path: str, parse, object_of: str | None = None):
+    """``parse`` applied to the JSON at ``path``, which must be an object when
+    ``object_of`` is given; failures are FileFormatErrors naming the file.
+    Only the instruments file is read by key: a missing key is a missing party."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise FileFormatError(f"cannot read {path}: no such file") from None
     except json.JSONDecodeError as err:
         raise FileFormatError(f"cannot parse {path}: {err}") from None
+    if object_of is not None and not isinstance(data, dict):
+        raise FileFormatError(f"{path}: expected an object {object_of}")
+    try:
+        return parse(data)
+    except KeyError as err:
+        raise FileFormatError(f"{path}: missing party key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise FileFormatError(f"{path}: {err}") from None
+
+
+def _require_valid(report, what: str):
+    """Print a failed validity report to stderr and exit with status 1."""
+    if not report.valid:
+        print(f"{what} failed validation:", file=sys.stderr)
+        for line in report.lines():
+            print(line, file=sys.stderr)
+        raise _ValidationFailure()
 
 
 def _resolve_process(args):
     """Build the requested process matrix and an echo of how it was specified."""
     if getattr(args, "file", None):
-        data = _load_json(args.file)
-        if not isinstance(data, dict):
-            raise FileFormatError(f"{args.file}: expected an object of Pauli coefficients")
-        try:
-            op = from_pauli_map(data)
-        except ValueError as err:
-            raise FileFormatError(f"{args.file}: {err}") from None
+        op = _read(args.file, from_pauli_map, "of Pauli coefficients")
         return as_process(op), {"process": "file", "file": args.file}
     kind = getattr(args, "process", None)
     if kind == "ocb":
@@ -87,13 +106,7 @@ def _resolve_process(args):
         return feix_process(params), {"process": "feix", "q": args.q, "eps": args.eps}
     if kind == "sep":
         if args.params:
-            data = _load_json(args.params)
-            if not isinstance(data, dict):
-                raise FileFormatError(f"{args.params}: expected an object of parameters")
-            try:
-                params = SepParams.from_flat_map(data)
-            except ValueError as err:
-                raise FileFormatError(f"{args.params}: {err}") from None
+            params = _read(args.params, SepParams.from_flat_map, "of parameters")
         else:
             params = SepParams.zeros()
         triple = separable_from_params(params)
@@ -103,29 +116,32 @@ def _resolve_process(args):
 
 def _resolve_instruments(args):
     if getattr(args, "instruments", None):
-        data = _load_json(args.instruments)
-        if not isinstance(data, dict):
-            raise FileFormatError(f"{args.instruments}: expected an object with keys A and B")
-        try:
-            ins_a = instrument_from_pauli_maps(data["A"], "A")
-            ins_b = instrument_from_pauli_maps(data["B"], "B")
-        except KeyError as err:
-            raise FileFormatError(f"{args.instruments}: missing party key {err}") from None
-        except ValueError as err:
-            raise FileFormatError(f"{args.instruments}: {err}") from None
+        ins_a, ins_b = _read(
+            args.instruments,
+            lambda d: [instrument_from_pauli_maps(d[party], party) for party in "AB"],
+            "with keys A and B",
+        )
         for ins in (ins_a, ins_b):
-            report = validate_instrument(ins)
-            if not report.valid:
-                print(f"instrument {ins.party} failed validation:", file=sys.stderr)
-                for line in report.lines():
-                    print(line, file=sys.stderr)
-                raise _ValidationFailure()
+            _require_valid(validate_instrument(ins), f"instrument {ins.party}")
         return ins_a, ins_b, {"instruments": args.instruments}
     return gyni_strategy("A"), gyni_strategy("B"), {"instruments": "built-in"}
 
 
-class _ValidationFailure(Exception):
-    """A semantic validation failure (exit status 1)."""
+def _parse_inputs(data, shape) -> InputDist:
+    if isinstance(data, list):
+        probs = np.asarray(data, dtype=float)
+    elif isinstance(data, dict):
+        probs = np.zeros((2, 2))
+        for key, value in data.items():
+            key = str(key)
+            if len(key) != 2 or not set(key) <= {"0", "1"}:
+                raise ValueError(f"bad input key {key!r}: expected 'xy' with x, y in 0, 1")
+            probs[int(key[0]), int(key[1])] = float(value)
+    else:
+        raise ValueError("expected a list or object")
+    if probs.shape != shape:
+        raise ValueError(f"expected a {shape[0]} x {shape[1]} table, got {probs.shape}")
+    return InputDist(probs)
 
 
 def _resolve_inputs(args, ins_a, ins_b):
@@ -133,26 +149,7 @@ def _resolve_inputs(args, ins_a, ins_b):
     before any process is built."""
     shape = (len(ins_a.inputs), len(ins_b.inputs))
     if getattr(args, "inputs", None):
-        data = _load_json(args.inputs)
-        try:
-            if isinstance(data, list):
-                probs = np.asarray(data, dtype=float)
-            elif isinstance(data, dict):
-                probs = np.zeros((2, 2))
-                for key, value in data.items():
-                    key = str(key)
-                    if len(key) != 2 or not set(key) <= {"0", "1"}:
-                        raise ValueError(
-                            f"bad input key {key!r}: expected 'xy' with x, y in 0, 1"
-                        )
-                    probs[int(key[0]), int(key[1])] = float(value)
-            else:
-                raise ValueError("expected a list or object")
-            if probs.shape != shape:
-                raise ValueError(f"expected a {shape[0]} x {shape[1]} table, got {probs.shape}")
-            return InputDist(probs), {"inputs": args.inputs}
-        except (TypeError, ValueError) as err:
-            raise FileFormatError(f"{args.inputs}: {err}") from None
+        return _read(args.inputs, lambda d: _parse_inputs(d, shape)), {"inputs": args.inputs}
     return InputDist.uniform(*shape), {"inputs": "uniform"}
 
 
@@ -168,19 +165,37 @@ def _manifest(command: str, config: dict, started: float, seed=None) -> dict:
     }
 
 
-def _print_manifest_text(manifest: dict):
-    rng = manifest["rng"]
-    rng_text = f"{rng['generator']} seed {rng['seed']}" if rng["seed"] is not None else "none"
-    print(f"# procmat {manifest['version']}  command: {manifest['command']}  rng: {rng_text}")
-    print(f"# config: {json.dumps(manifest['config'], sort_keys=True)}")
-
-
-def _csv_comment_manifest(manifest: dict) -> str:
-    return f"# manifest: {json.dumps(manifest, sort_keys=True)}\n"
-
-
 def _g6(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _cell(value) -> str:
+    """One CSV cell: floats at full precision, ``None`` empty."""
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def _emit(fmt: str, doc: dict, csv_header: str, csv_rows, text_lines, trailer=()):
+    """Print ``doc`` as json; or as csv: manifest comment, header, rows and
+    ``#`` trailer lines; or as text: two-line manifest header and text lines."""
+    manifest = doc["manifest"]
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    elif fmt == "csv":
+        print(f"# manifest: {json.dumps(manifest, sort_keys=True)}")
+        print(csv_header)
+        for row in csv_rows:
+            print(",".join(_cell(v) for v in row))
+        for line in trailer:
+            print(f"# {line}")
+    else:
+        rng = manifest["rng"]
+        rng_text = f"{rng['generator']} seed {rng['seed']}" if rng["seed"] is not None else "none"
+        print(f"# procmat {manifest['version']}  command: {manifest['command']}  rng: {rng_text}")
+        print(f"# config: {json.dumps(manifest['config'], sort_keys=True)}")
+        for line in text_lines:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -192,33 +207,15 @@ def cmd_validate(args) -> int:
     started = time.perf_counter()
     process, echo = _resolve_process(args)
     report = process.report
-    manifest = _manifest("validate", echo, started)
-    if args.format == "json":
-        doc = {
-            "manifest": manifest,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
-            "valid": report.valid,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        out = _csv_comment_manifest(manifest)
-        out += "name,residual,tolerance,passed\n"
-        for c in report.checks:
-            out += f"{c.name},{c.residual!r},{c.tolerance!r},{c.passed}\n"
-        print(out, end="")
-    else:
-        _print_manifest_text(manifest)
-        for line in report.lines():
-            print(line)
-        print("valid" if report.valid else "INVALID")
+    fields = ("name", "residual", "tolerance", "passed")
+    doc = {
+        "manifest": _manifest("validate", echo, started),
+        "checks": [{f: getattr(c, f) for f in fields} for c in report.checks],
+        "valid": report.valid,
+    }
+    rows = (c.values() for c in doc["checks"])
+    text = [*report.lines(), "valid" if report.valid else "INVALID"]
+    _emit(args.format, doc, ",".join(fields), rows, text)
     return 0 if report.valid else 1
 
 
@@ -232,62 +229,29 @@ def cmd_entropy(args) -> int:
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
     inputs, in_echo = _resolve_inputs(args, ins_a, ins_b)
     process, echo = _resolve_process(args)
-    if not process.valid:
-        print("process matrix failed validation:", file=sys.stderr)
-        for line in process.report.lines():
-            print(line, file=sys.stderr)
-        return 1
+    _require_valid(process.report, "process matrix")
     table = cond_probs(process, ins_a, ins_b)
     joint = joint_dist(table, inputs)
     quantities = {name: objective(name, joint) for name in OBJECTIVES}
-    manifest = _manifest("entropy", {**echo, **ins_echo, **in_echo}, started)
-    if args.format == "json":
-        doc = {
-            "manifest": manifest,
-            "cond_probs": {
-                f"{a},{b},{x},{y}": table.probs[a, b, x, y]
-                for a in range(table.shape[0])
-                for b in range(table.shape[1])
-                for x in range(table.shape[2])
-                for y in range(table.shape[3])
-            },
-            "joint": {
-                f"{a},{b}": joint[a, b]
-                for a in range(joint.shape[0])
-                for b in range(joint.shape[1])
-            },
-            "entropies": quantities,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        out = _csv_comment_manifest(manifest)
-        out += "record,a,b,x,y,value\n"
-        for line in table_to_csv(table).strip().splitlines()[1:]:
-            a, b, x, y, p = line.split(",")
-            out += f"cond,{a},{b},{x},{y},{p}\n"
-        for line in joint_to_csv(joint).strip().splitlines()[1:]:
-            a, b, p = line.split(",")
-            out += f"joint,{a},{b},,,{p}\n"
-        for name, value in quantities.items():
-            out += f"entropy,{name},,,,{float(value)!r}\n"
-        print(out, end="")
-    else:
-        _print_manifest_text(manifest)
-        print("p(a,b|x,y):")
-        for x in range(table.shape[2]):
-            for y in range(table.shape[3]):
-                cells = "  ".join(
-                    f"p({a},{b})={_g6(table.probs[a, b, x, y])}"
-                    for a in range(table.shape[0])
-                    for b in range(table.shape[1])
-                )
-                print(f"  x={x} y={y}:  {cells}")
-        print("p(a,b):")
-        for a in range(joint.shape[0]):
-            for b in range(joint.shape[1]):
-                print(f"  p({a},{b}) = {_g6(joint[a, b])}")
-        for name, value in quantities.items():
-            print(f"{name} = {_g6(value)} bits")
+    doc = {
+        "manifest": _manifest("entropy", {**echo, **ins_echo, **in_echo}, started),
+        "cond_probs": {",".join(map(str, k)): p for k, p in np.ndenumerate(table.probs)},
+        "joint": {",".join(map(str, k)): p for k, p in np.ndenumerate(joint)},
+        "entropies": quantities,
+    }
+    rows = [("cond", *key.split(","), p) for key, p in doc["cond_probs"].items()]
+    rows += [("joint", *key.split(","), None, None, p) for key, p in doc["joint"].items()]
+    rows += [("entropy", name, None, None, None, value) for name, value in quantities.items()]
+    text = ["p(a,b|x,y):"]
+    for x, y in np.ndindex(table.shape[2:]):
+        cells = "  ".join(
+            f"p({a},{b})={_g6(table.probs[a, b, x, y])}" for a, b in np.ndindex(table.shape[:2])
+        )
+        text.append(f"  x={x} y={y}:  {cells}")
+    text.append("p(a,b):")
+    text += [f"  p({key}) = {_g6(p)}" for key, p in doc["joint"].items()]
+    text += [f"{name} = {_g6(value)} bits" for name, value in quantities.items()]
+    _emit(args.format, doc, "record,a,b,x,y,value", rows, text)
     return 0
 
 
@@ -298,45 +262,29 @@ def cmd_entropy(args) -> int:
 
 def cmd_game(args) -> int:
     started = time.perf_counter()
-    process, echo = _resolve_process(args)
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
-    if not process.valid:
-        print("process matrix failed validation:", file=sys.stderr)
-        for line in process.report.lines():
-            print(line, file=sys.stderr)
-        return 1
+    process, echo = _resolve_process(args)
+    _require_valid(process.report, "process matrix")
     table = cond_probs(process, ins_a, ins_b)
     score = game_success(table)
     violated = score > CAUSAL_BOUND + 1e-9
-    manifest = _manifest("game", {**echo, **ins_echo}, started)
-    if args.format == "json":
-        doc = {
-            "manifest": manifest,
-            "p_succ": score,
-            "bound": CAUSAL_BOUND,
-            "violation": violated,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        out = _csv_comment_manifest(manifest)
-        out += "p_succ,bound,violation\n"
-        out += f"{score!r},{CAUSAL_BOUND!r},{violated}\n"
-        print(out, end="")
-    else:
-        _print_manifest_text(manifest)
-        print(f"p_succ = {_g6(score)}   (causal bound {CAUSAL_BOUND})")
-        print("VIOLATION: exceeds the causal bound" if violated else "within the causal bound")
+    doc = {
+        "manifest": _manifest("game", {**echo, **ins_echo}, started),
+        "p_succ": score,
+        "bound": CAUSAL_BOUND,
+        "violation": violated,
+    }
+    text = [
+        f"p_succ = {_g6(score)}   (causal bound {CAUSAL_BOUND})",
+        "VIOLATION: exceeds the causal bound" if violated else "within the causal bound",
+    ]
+    _emit(args.format, doc, "p_succ,bound,violation", [(score, CAUSAL_BOUND, violated)], text)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
-
-
-def _default_out_path(name: str) -> Path:
-    base = os.environ.get("PROCMAT_OUT_DIR", ".")
-    return Path(base) / name
 
 
 def _objective_of_process(cfg: OptimizerConfig, process) -> float:
@@ -346,6 +294,10 @@ def _objective_of_process(cfg: OptimizerConfig, process) -> float:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
+    if args.mode == "sep" and args.sep_max is not None:
+        raise ValueError("--sep-max applies only to optimize feix")
+    if args.mode == "feix" and args.trace:
+        raise ValueError("--trace applies only to optimize sep")
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
     inputs, in_echo = _resolve_inputs(args, ins_a, ins_b)
     cfg = OptimizerConfig(
@@ -358,6 +310,11 @@ def cmd_optimize(args) -> int:
         inputs=inputs,
         record_trace=bool(args.trace),
     )
+    out_dir = Path(os.environ.get("PROCMAT_OUT_DIR", "."))
+    out_path = Path(args.out) if args.out else out_dir / f"optimize_{args.mode}.json"
+    for path in filter(None, (out_path, args.trace)):
+        if not os.access(Path(path).parent, os.W_OK):
+            raise FileFormatError(f"cannot write {path}: no writable directory {Path(path).parent}")
     reference = _objective_of_process(cfg, ocb_process())
     config_echo = {
         "mode": args.mode,
@@ -378,20 +335,20 @@ def cmd_optimize(args) -> int:
         verdict = (
             "inequality satisfied" if reference > best_value else "inequality not satisfied"
         )
-        manifest = _manifest("optimize", config_echo, started, seed=cfg.seed)
+        fields = ("restart", "seed", "value", "sweeps")
         doc = {
-            "manifest": manifest,
+            "manifest": _manifest("optimize", config_echo, started, seed=cfg.seed),
             "best_value": best_value,
             "best_restart": result.best_restart,
             "reference": {"process": "ocb", "objective": cfg.objective, "value": reference},
             "verdict": verdict,
             "best_params": result.best_params.to_flat_map(),
-            "restarts": [
-                {"restart": r.restart, "seed": r.seed, "value": r.value, "sweeps": r.sweeps}
-                for r in result.records
-            ],
+            "restarts": [{f: getattr(r, f) for f in fields} for r in result.records],
         }
-        if args.trace and result.traces is not None:
+        csv_header = ",".join(fields)
+        csv_rows = (r.values() for r in doc["restarts"])
+        trailer = [f"best_value: {best_value!r}  reference: {reference!r}  verdict: {verdict}"]
+        if args.trace:
             with open(args.trace, "w") as fh:
                 fh.write("restart,sweep,objective\n")
                 for r, trace in enumerate(result.traces):
@@ -414,40 +371,27 @@ def cmd_optimize(args) -> int:
             verdict = "inequality not satisfied"
         else:
             verdict = "undetermined (supply --sep-max from an optimize sep run)"
-        manifest = _manifest("optimize", config_echo, started, seed=cfg.seed)
         doc = {
-            "manifest": manifest,
+            "manifest": _manifest("optimize", config_echo, started, seed=cfg.seed),
             "best_value": best_value,
             "best_params": {"q": params.q, "eps": params.eps},
             "reference": {"process": "ocb", "objective": cfg.objective, "value": reference},
             "separable_floor": sep_floor,
             "verdict": verdict,
         }
+        csv_header = "q,eps,value"
+        csv_rows = [(params.q, params.eps, best_value)]
+        trailer = [f"verdict: {verdict}"]
 
-    out_path = Path(args.out) if args.out else _default_out_path(f"optimize_{args.mode}.json")
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=2)
-
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        out = _csv_comment_manifest(doc["manifest"])
-        if args.mode == "sep":
-            out += "restart,seed,value,sweeps\n"
-            for r in doc["restarts"]:
-                out += f"{r['restart']},{r['seed']},{r['value']!r},{r['sweeps']}\n"
-            out += f"# best_value: {best_value!r}  reference: {reference!r}  verdict: {verdict}\n"
-        else:
-            out += "q,eps,value\n"
-            out += f"{doc['best_params']['q']!r},{doc['best_params']['eps']!r},{best_value!r}\n"
-            out += f"# verdict: {verdict}\n"
-        print(out, end="")
-    else:
-        _print_manifest_text(doc["manifest"])
-        print(f"best {cfg.objective} over {args.mode} family = {_g6(best_value)} bits")
-        print(f"reference {cfg.objective} (ocb process) = {_g6(reference)} bits")
-        print(f"verdict: {verdict}")
-        print(f"result written to {out_path}")
+    text = [
+        f"best {cfg.objective} over {args.mode} family = {_g6(best_value)} bits",
+        f"reference {cfg.objective} (ocb process) = {_g6(reference)} bits",
+        f"verdict: {verdict}",
+        f"result written to {out_path}",
+    ]
+    _emit(args.format, doc, csv_header, csv_rows, text, trailer)
     return 0
 
 
@@ -522,9 +466,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except _ValidationFailure:
         return 1
     except InfeasibleParamsError as err:

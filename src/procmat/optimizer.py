@@ -633,7 +633,10 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
     Restarts may execute in parallel (``jobs`` processes); the reduction is
     order-independent, with ties broken by the lowest restart index, so the
     result is a deterministic function of the configuration alone.
+    ``jobs`` below 1 is a ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg = cfg or OptimizerConfig()
     work = [(cfg, r) for r in range(cfg.restarts)]
     if jobs > 1 and cfg.restarts > 1:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,26 @@ class TestGame:
         assert doc["p_succ"] <= 0.5 + 1e-9
         assert doc["violation"] is False
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "expected an object with keys A and B"), ("{}", "missing party key 'A'")],
+    )
+    def test_malformed_instruments_file_named_before_process(
+        self, capsys, tmp_path, monkeypatch, text, message
+    ):
+        import procmat.cli as cli
+
+        def no_process(*_):
+            raise AssertionError("a process was built before the instruments were checked")
+
+        monkeypatch.setattr(cli, "ocb_process", no_process)
+        path = tmp_path / "instruments.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "game", "ocb", "--instruments", str(path))
+        assert code == 2
+        assert "instruments.json" in err and message in err
+        assert out == ""
+
     def test_json_csv_agree(self, capsys):
         _, json_out, _ = run_cli(capsys, "game", "ocb", "--format", "json")
         _, csv_out, _ = run_cli(capsys, "game", "ocb", "--format", "csv")
@@ -339,3 +360,104 @@ class TestOptimize:
         )
         doc = json.loads(out_path.read_text())
         assert doc["verdict"] == "inequality satisfied"
+
+    @pytest.mark.parametrize("target", ["--out", "--trace", "PROCMAT_OUT_DIR"])
+    def test_unwritable_output_path_exit_2_before_search(
+        self, capsys, tmp_path, monkeypatch, target
+    ):
+        import procmat.cli as cli
+
+        def no_search(*_, **__):
+            raise AssertionError("the search ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "multistart", no_search)
+        missing = tmp_path / "missing"
+        paths = {"--out": str(tmp_path / "sep.json"), "--trace": str(tmp_path / "trace.csv")}
+        if target == "PROCMAT_OUT_DIR":
+            monkeypatch.setenv(target, str(missing))
+            del paths["--out"]
+            bad = str(missing / "optimize_sep.json")
+        else:
+            bad = paths[target] = str(missing / "file")
+        options = [item for pair in paths.items() for item in pair]
+        code, out, err = run_cli(capsys, "optimize", "sep", "--restarts", "2", *options)
+        assert code == 2
+        assert bad in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "mode, option, value",
+        [("sep", "--sep-max", "1.0"), ("feix", "--trace", "trace.csv")],
+    )
+    def test_option_of_the_other_mode_exit_2(self, capsys, tmp_path, mode, option, value):
+        out_path = tmp_path / "result.json"
+        code, out, err = run_cli(
+            capsys, "optimize", mode, "--restarts", "2", "--out", str(out_path), option, value
+        )
+        assert code == 2
+        assert option in err and out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
+        out_path = tmp_path / "sep.json"
+        code, out, err = run_cli(
+            capsys, "optimize", "sep", "--restarts", "2", "--jobs", jobs, "--out", str(out_path)
+        )
+        assert code == 2
+        assert "jobs" in err and out == ""
+        assert not out_path.exists()
+
+
+class TestFormatsAgree:
+    """The JSON and CSV renderings of one command carry equal values."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "ocb"),
+            ("optimize", "sep", "--restarts", "2", "--tol", "1e-2"),
+            ("optimize", "feix"),
+        ],
+        ids=["validate", "optimize-sep", "optimize-feix"],
+    )
+    def test_json_csv_agree(self, capsys, tmp_path, argv):
+        outputs = {}
+        for fmt in ("json", "csv"):
+            out_path = ("--out", str(tmp_path / f"{fmt}.json")) if argv[0] == "optimize" else ()
+            code, outputs[fmt], _ = run_cli(capsys, *argv, *out_path, "--format", fmt)
+            assert code == 0
+        doc = json.loads(outputs["json"])
+        lines = outputs["csv"].splitlines()
+        manifest = json.loads(lines[0].removeprefix("# manifest: "))
+        manifest.pop("duration_s")
+        doc["manifest"].pop("duration_s")
+        assert manifest == doc["manifest"]
+        rows = parse_csv(outputs["csv"])
+        trailer = [line.removeprefix("# ") for line in lines[1:] if line.startswith("#")]
+        if argv[0] == "validate":
+            assert [
+                (r["name"], float(r["residual"]), float(r["tolerance"]), r["passed"])
+                for r in rows
+            ] == [
+                (c["name"], c["residual"], c["tolerance"], str(c["passed"]))
+                for c in doc["checks"]
+            ]
+            assert trailer == []
+        elif argv[1] == "sep":
+            assert [
+                (int(r["restart"]), int(r["seed"]), float(r["value"]), int(r["sweeps"]))
+                for r in rows
+            ] == [(r["restart"], r["seed"], r["value"], r["sweeps"]) for r in doc["restarts"]]
+            best, reference, verdict = re.fullmatch(
+                r"best_value: (\S+)  reference: (\S+)  verdict: (.*)", trailer[0]
+            ).groups()
+            assert float(best) == doc["best_value"]
+            assert float(reference) == doc["reference"]["value"]
+            assert verdict == doc["verdict"] and len(trailer) == 1
+        else:
+            [row] = rows
+            assert float(row["q"]) == doc["best_params"]["q"]
+            assert float(row["eps"]) == doc["best_params"]["eps"]
+            assert float(row["value"]) == doc["best_value"]
+            assert trailer == [f"verdict: {doc['verdict']}"]

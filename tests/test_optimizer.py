@@ -414,6 +414,11 @@ class TestMultistart:
         assert errors[0] == errors[1]
         assert errors[0][0] == "A<B"
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            multistart(small_cfg(), jobs=jobs)
+
     def test_records_cover_consecutive_seeds(self):
         cfg = small_cfg(restarts=4, seed=50)
         result = multistart(cfg)
