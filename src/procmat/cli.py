@@ -298,6 +298,8 @@ def cmd_optimize(args) -> int:
         raise ValueError("--sep-max applies only to optimize feix")
     if args.mode == "feix" and args.trace:
         raise ValueError("--trace applies only to optimize sep")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
     inputs, in_echo = _resolve_inputs(args, ins_a, ins_b)
     cfg = OptimizerConfig(
@@ -312,9 +314,11 @@ def cmd_optimize(args) -> int:
     )
     out_dir = Path(os.environ.get("PROCMAT_OUT_DIR", "."))
     out_path = Path(args.out) if args.out else out_dir / f"optimize_{args.mode}.json"
-    for path in filter(None, (out_path, args.trace)):
-        if not os.access(Path(path).parent, os.W_OK):
-            raise FileFormatError(f"cannot write {path}: no writable directory {Path(path).parent}")
+    for path in map(Path, filter(None, (out_path, args.trace))):
+        if path.is_dir():
+            raise FileFormatError(f"cannot write {path}: it is a directory")
+        if not os.access(path.parent, os.W_OK):
+            raise FileFormatError(f"cannot write {path}: no writable directory {path.parent}")
     reference = _objective_of_process(cfg, ocb_process())
     config_echo = {
         "mode": args.mode,

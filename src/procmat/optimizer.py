@@ -29,12 +29,11 @@ Restarts are independent: restart i draws its start from a generator seeded
 with seed + i, so results are reproducible and independent of execution
 order.  The generator is numpy's default PCG64.
 
-The Feix plane is I/4 + q M_sym + (1 - q + eps) M_ba with two real
-matrices of one block structure.  ``_FeixEngine`` reads the blocks off their
-sparsity pattern: four 4 x 4 sectors, two of them distinct, so every
-smallest eigenvalue on the plane (grid, eps bound, q interval) is one batched
-real 4 x 4 eigensolve.  The 101 x 101 grid is one such eigensolve and one
-``stats.objective`` call on the stacked joints of its feasible points.
+The Feix plane is I/4 + q M_sym + (1 - q + eps) M_ba, and its smallest
+eigenvalue has a closed form (derived in ``_FeixEngine``): every feasibility
+test on the plane (grid, eps bound, q interval) is a few flops, with no
+eigensolve.  The 101 x 101 grid is one vectorized evaluation of that formula
+and one ``stats.objective`` call on the stacked joints of its feasible points.
 
 The coordinate layout (q, then the 36 + 36 block coefficients), each
 coordinate's name, block and Pauli word come from ``process.COORDINATES``;
@@ -672,51 +671,31 @@ _FEIX_GRID_STEP = 0.01
 _FEIX_BISECTION_STEPS = 31
 
 
-def _sectors(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the graph whose adjacency
-    matrix is the boolean ``pattern``: the diagonal blocks that every matrix
-    with that sparsity pattern splits into."""
-    reach = pattern | np.eye(len(pattern), dtype=bool)
-    while True:
-        grown = (reach.astype(int) @ reach.astype(int)) > 0
-        if (grown == reach).all():
-            return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
-        reach = grown
-
-
 class _FeixEngine:
     """Joint distribution and feasibility over the (q, eps) plane.
 
-    The process is I/4 + q M_sym + (1 - q + eps) M_ba.  Both matrices are real
-    (every Feix word holds an even number of Y letters) and share a block
-    structure: the connected components of their sparsity graph split the 16
-    basis states into four 4 x 4 sectors, of which two distinct (M_sym, M_ba)
-    pairs remain.  The smallest eigenvalue is the minimum over those pairs of
-    one batched real 4 x 4 ``eigvalsh``.
+    The process is I/4 + q S/12 + (1 - q + eps) ZIXZ/4 with S = IXXI + IYYI +
+    IZZI (words ordered A_I A_O B_I B_O), and its smallest eigenvalue has a
+    closed form.  The Z eigenvalues of A_I and B_O split the 16 basis states
+    into four sectors, each a copy of A_O x B_I.  On a sector S = 2 SWAP - I
+    and ZIXZ = sigma (I x X), with sigma the product of the two Z
+    eigenvalues.  X x X commutes with both and splits each sector into the
+    2 x 2 blocks [[2a, b], [b, 2a]] and [[2a, b], [b, -2a]] (plus 1/4 - a
+    on the diagonal), where a = q/12 and b = sigma (1 - q + eps)/4.  So the
+    smallest eigenvalue is 1/4 - a + min(2a - |b|, -sqrt(4a^2 + b^2)), for
+    every real q and eps.
     """
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
+        assert FEIX_WORDS_AB == ("IXXI", "IYYI", "IZZI") and FEIX_WORD_BA == "ZIXZ", (
+            "the closed-form smallest eigenvalue of the Feix plane is derived for "
+            f"A<B words IXXI, IYYI, IZZI and B<A word ZIXZ, got {FEIX_WORDS_AB} and {FEIX_WORD_BA}"
+        )
         engine = _Engine(instrument_a, instrument_b, inputs)
         self._base = engine.base_joint
         shape = (-1, *self._base.shape)
         self._inc_sym = sum(engine.increments(FEIX_WORDS_AB).reshape(shape)) / 12.0
         self._inc_ba = engine.increments([FEIX_WORD_BA]).reshape(shape)[0] / 4.0
-        m_sym = sum(pauli_matrix(w) for w in FEIX_WORDS_AB) / 12.0
-        m_ba = pauli_matrix(FEIX_WORD_BA) / 4.0
-        sectors = _sectors((m_sym != 0) | (m_ba != 0))
-        inside = np.zeros(m_sym.shape, dtype=bool)
-        for idx in sectors:
-            inside[np.ix_(idx, idx)] = True
-        for m in (m_sym, m_ba):
-            assert not m.imag.any(), "Feix matrices must be real"
-            assert not m[~inside].any(), "Feix matrices must vanish off the sectors"
-        pairs = {}
-        for idx in sectors:
-            pair = (m_sym[np.ix_(idx, idx)].real, m_ba[np.ix_(idx, idx)].real)
-            pairs.setdefault(b"".join(a.tobytes() for a in pair), pair)
-        self._m_sym = np.stack([sym for sym, _ in pairs.values()])
-        self._m_ba = np.stack([ba for _, ba in pairs.values()])
-        self._eye = np.eye(self._m_sym.shape[-1])
 
     def joint(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
         """The joint (a, b) distribution, or a stack of them indexed by the
@@ -727,10 +706,9 @@ class _FeixEngine:
 
     def min_eig(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of the process at each broadcast (q, eps)."""
-        q = np.asarray(q, dtype=float)[..., None, None, None]
-        eps = np.asarray(eps, dtype=float)[..., None, None, None]
-        mats = self._eye * 0.25 + q * self._m_sym + (1.0 - q + eps) * self._m_ba
-        return np.linalg.eigvalsh(mats)[..., 0].min(axis=-1)
+        a = q / 12.0
+        b = np.abs(1.0 - q + eps) / 4.0
+        return 0.25 - a + np.minimum(2.0 * a - b, -np.hypot(2.0 * a, b))
 
     def eps_bound(self, q: float, psd_tol: float) -> float:
         """Largest feasible eps at fixed q, by bisection on the smallest
@@ -768,11 +746,12 @@ def feix_maximize(
     """Maximize the objective over the PSD region of the Feix family.
 
     A coarse grid (step 0.01 in q and eps) locates the basin: its feasibility
-    is one batched eigensolve on the 4 x 4 sectors of ``_FeixEngine``, and the
-    objective at all feasible points is one ``stats.objective`` call on their
-    stacked joints; the first maximum in row-major (q, eps) order wins.
-    Coordinate golden-section refinement, with the q and eps intervals found
-    by bisection on the sectors' smallest eigenvalue, polishes it.
+    is one vectorized evaluation of the closed-form smallest eigenvalue of
+    ``_FeixEngine``, and the objective at all feasible points is one
+    ``stats.objective`` call on their stacked joints; the first maximum in
+    row-major (q, eps) order wins.  Coordinate golden-section refinement, with
+    the q and eps intervals found by bisection on that smallest eigenvalue,
+    polishes it.
     """
     cfg = cfg or OptimizerConfig()
     value = partial(objective, cfg.objective)

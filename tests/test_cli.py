@@ -408,6 +408,44 @@ class TestOptimize:
         assert "jobs" in err and out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_feix_jobs_below_one_exit_2_before_search(self, capsys, tmp_path, monkeypatch, jobs):
+        import procmat.cli as cli
+
+        def no_search(*_, **__):
+            raise AssertionError("the search ran before --jobs was checked")
+
+        monkeypatch.setattr(cli, "feix_maximize", no_search)
+        out_path = tmp_path / "feix.json"
+        code, out, err = run_cli(capsys, "optimize", "feix", "--jobs", jobs, "--out", str(out_path))
+        assert code == 2
+        assert "jobs" in err and out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "mode, target", [("sep", "--out"), ("sep", "--trace"), ("feix", "--out")]
+    )
+    def test_output_path_naming_a_directory_exit_2_before_search(
+        self, capsys, tmp_path, monkeypatch, mode, target
+    ):
+        import procmat.cli as cli
+
+        def no_search(*_, **__):
+            raise AssertionError("the search ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "multistart", no_search)
+        monkeypatch.setattr(cli, "feix_maximize", no_search)
+        directory = tmp_path / "existing"
+        directory.mkdir()
+        paths = {"--out": str(tmp_path / "result.json")}
+        paths[target] = str(directory)
+        options = [item for pair in paths.items() for item in pair]
+        code, out, err = run_cli(capsys, "optimize", mode, "--restarts", "2", *options)
+        assert code == 2
+        assert f"error: cannot write {directory}:" in err and out == ""
+        assert list(tmp_path.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
+
 
 class TestFormatsAgree:
     """The JSON and CSV renderings of one command carry equal values."""

@@ -31,6 +31,8 @@ from procmat.process import (
     FeixParams,
     InfeasibleParamsError,
     SepParams,
+    feix_block_ab,
+    feix_block_ba,
     feix_process,
     sep_feasibility,
     separable_from_params,
@@ -492,7 +494,8 @@ class TestFeixMaximize:
 
 
 class TestFeixSectors:
-    """The sector eigensolve of the Feix plane against the 16 x 16 process."""
+    """The closed-form smallest eigenvalue of the Feix plane against the
+    16 x 16 process."""
 
     @pytest.fixture(scope="class")
     def engine(self):
@@ -502,9 +505,55 @@ class TestFeixSectors:
     def full_min_eig(q, eps):
         return np.linalg.eigvalsh(feix_process(FeixParams(q, eps)).op.matrix)[0]
 
-    def test_two_distinct_real_four_by_four_sectors(self, engine):
-        assert engine._m_sym.shape == engine._m_ba.shape == (2, 4, 4)
-        assert engine._m_sym.dtype == engine._m_ba.dtype == np.float64
+    @staticmethod
+    def plane_min_eig(q, eps):
+        """Smallest eigenvalue of I/4 + q S/12 + (1 - q + eps) ZIXZ/4 at any
+        real (q, eps), also where ``FeixParams`` rejects the point."""
+        if 0.0 <= q <= 1.0 and eps >= 0.0:
+            return TestFeixSectors.full_min_eig(q, eps)
+        mat = (
+            np.eye(16) * 0.25
+            + q * sum(word_matrix(w) for w in ("IXXI", "IYYI", "IZZI")) / 12
+            + (1.0 - q + eps) * word_matrix("ZIXZ") / 4
+        )
+        return np.linalg.eigvalsh(mat)[0]
+
+    def test_two_distinct_real_four_by_four_sectors(self):
+        # the premise of the closed form: both blocks are real and vanish
+        # outside the four 4 x 4 sectors fixed by the Z eigenvalues of A_I
+        # (the first qubit) and B_O (the last)
+        sector = np.array([(i >> 3, i & 1) for i in range(16)])
+        same = (sector[:, None, :] == sector[None, :, :]).all(axis=-1)
+        assert np.unique(sector, axis=0, return_counts=True)[1].tolist() == [4, 4, 4, 4]
+        for block in (feix_block_ab(), feix_block_ba()):
+            assert not block.matrix.imag.any()
+            assert not block.matrix[~same].any()
+            assert block.matrix[same].any()
+
+    def test_closed_form_matches_full_eigensolve_on_the_real_plane(self, engine):
+        qs, epss = np.linspace(-1.0, 2.0, 31), np.linspace(-1.0, 3.0, 41)
+        points = [(q, eps) for q in qs for eps in epss]
+        for q in (0.0, 0.3, 0.77, 1.0):
+            top = engine.eps_bound(q, 1e-10)
+            points += [(q, top - 1e-9), (q, top), (q, top + 1e-9)]
+        for q, eps in points:
+            assert engine.min_eig(q, eps) == pytest.approx(self.plane_min_eig(q, eps), abs=1e-14)
+        # for q < 0 the minimum comes from the X x X = +1 block, 2a - |b|:
+        # here q = -1 and eps = 0.5
+        a, b = -1.0 / 12, (1.0 + 1.0 + 0.5) / 4
+        assert 2 * a - b < -np.hypot(2 * a, b)
+        assert self.plane_min_eig(-1.0, 0.5) == pytest.approx(0.25 + a - b, abs=1e-14)
+
+    def test_min_eig_broadcasts(self, engine, rng):
+        q, eps = rng.uniform(-1.0, 2.0, size=7), rng.uniform(-1.0, 3.0, size=5)
+        singles = np.array([[engine.min_eig(float(x), float(y)) for y in eps] for x in q])
+        assert np.ndim(engine.min_eig(0.5, 0.1)) == 0
+        grid = engine.min_eig(q[:, None], eps[None, :])
+        assert grid.shape == (7, 5)
+        np.testing.assert_array_equal(grid, singles)
+        row = engine.min_eig(q, float(eps[2]))
+        assert row.shape == (7,)
+        np.testing.assert_array_equal(row, singles[:, 2])
 
     def test_min_eig_matches_full_process(self, engine, rng):
         points = [(1.0, 0.0), (0.0, 0.0), (0.5, 0.0)]
