@@ -302,9 +302,15 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     ins_a, ins_b, ins_echo = _resolve_instruments(args)
     inputs, in_echo = _resolve_inputs(args, ins_a, ins_b)
+    # --restarts and --tol set the separable search only; feix neither checks
+    # nor records them, nor the sweep cap
+    sep_only = {}
+    if args.mode == "sep":
+        sep_only = dict(
+            restarts=args.restarts, sweep_tol=args.tol, max_sweeps=OptimizerConfig.max_sweeps
+        )
     cfg = OptimizerConfig(
-        restarts=args.restarts,
-        sweep_tol=args.tol,
+        **sep_only,
         seed=args.seed,
         objective=args.objective,
         instrument_a=ins_a,
@@ -322,9 +328,7 @@ def cmd_optimize(args) -> int:
     reference = _objective_of_process(cfg, ocb_process())
     config_echo = {
         "mode": args.mode,
-        "restarts": cfg.restarts,
-        "sweep_tol": cfg.sweep_tol,
-        "max_sweeps": cfg.max_sweeps,
+        **sep_only,
         "line_tol": cfg.line_tol,
         "psd_tol": cfg.psd_tol,
         "objective": cfg.objective,
@@ -339,7 +343,7 @@ def cmd_optimize(args) -> int:
         verdict = (
             "inequality satisfied" if reference > best_value else "inequality not satisfied"
         )
-        fields = ("restart", "seed", "value", "sweeps")
+        fields = ("restart", "seed", "value", "sweeps", "centering_passes", "centering_stop")
         doc = {
             "manifest": _manifest("optimize", config_echo, started, seed=cfg.seed),
             "best_value": best_value,

@@ -20,10 +20,15 @@ eigenvalue, so unranked directions do not consume feasibility slack that the
 ranked ones need.  That eigenvalue is concave along the line, and one eigh
 gives its first and second derivatives (v0^dagger P v0 and the second-order
 perturbation sum), so a bracketed Newton search, with the tangents' meeting
-point at kinks, finds the maximum in about five eigensolves (see
-:func:`_slack_max`).  Every point whose smallest eigenvalue exceeds that of
-the feasible incumbent is feasible, so centering needs no interval.  Both in
-centering and in the ascent a coordinate moves only on strict improvement.
+point at kinks, finds the maximum in a few eigensolves (see
+:func:`_slack_max`).  Each block is built and solved once per centering run;
+its matrix and eigh are then carried from line to line (an accepted move
+hands on the probe A + sP that found it), so a line solves only at its probes
+away from s = 0, about 3.5 per line.  Every point whose smallest eigenvalue
+exceeds that of the feasible incumbent is feasible, so centering needs no
+interval.  Both in centering and in the ascent a coordinate moves only on
+strict improvement.  The ascent's line objective is evaluated on the affine
+joint, j0 + (t - t0) d, with no parameter update per evaluation.
 
 Restarts are independent: restart i draws its start from a generator seeded
 with seed + i, so results are reproducible and independent of execution
@@ -84,8 +89,12 @@ _INIT_SCALE = 0.05
 #: gain in the smallest eigenvalue is below this (eigh resolves it to about
 #: 1e-16 on these blocks)
 _SLACK_RESOLUTION = 1e-14
-#: a bound on eigh calls per centering line; measured searches take 2-10
+#: a bound on eigh calls per centering line (s = 0 is read from the carried
+#: decomposition); measured searches take 1-9, 3.5 on average
 _SLACK_MAX_PROBES = 100
+#: a bound on centering passes over the flat coordinates; a restart that
+#: reaches it records the stop reason ``pass_cap``
+_CENTERING_MAX_PASSES = 50
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -164,8 +173,10 @@ class OptimizerConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         for name in ("sweep_tol", "line_tol", "psd_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # NaN fails every comparison, so `value <= 0` alone would let it through
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.objective not in OBJECTIVES:
@@ -184,10 +195,15 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
+    """One restart: its value and ascent sweeps, and how centering ended
+    (``centering_stop`` is ``converged`` or ``pass_cap``)."""
+
     restart: int
     seed: int
     value: float
     sweeps: int
+    centering_passes: int
+    centering_stop: str
 
 
 @dataclass(frozen=True)
@@ -259,6 +275,18 @@ class _Engine:
         """The joint (a, b) distribution at a search point."""
         q, (c, cp), (inc_a, inc_b) = state.q, state.coeffs, self.incs
         flat = self._base_flat + q * (c @ inc_a) + (1.0 - q) * (cp @ inc_b)
+        return flat.reshape(self.n_a, self.n_b)
+
+    def direction(self, state: _State, coord: int) -> np.ndarray:
+        """Derivative of the joint in one coordinate at a search point:
+        c inc_a - c' inc_b for q, the block's weight times the increment row
+        for a block coefficient."""
+        block, idx = _SLOTS[coord]
+        if block is None:
+            (c, cp), (inc_a, inc_b) = state.coeffs, self.incs
+            flat = c @ inc_a - cp @ inc_b
+        else:
+            flat = (state.q, 1.0 - state.q)[block] * self.incs[block][idx]
         return flat.reshape(self.n_a, self.n_b)
 
 
@@ -386,16 +414,12 @@ def _line_max(
 def _line_fn(
     engine: _Engine, value: Callable[[np.ndarray], float], state: _State, coord: int
 ) -> Callable[[float], float]:
-    """The objective along one coordinate line through the incumbent."""
-
-    def f(t: float) -> float:
-        old = state.get(coord)
-        state.set(coord, t)
-        out = value(engine.joint(state))
-        state.set(coord, old)
-        return out
-
-    return f
+    """The objective along one coordinate line through the incumbent, on the
+    affine joint: t -> value(j0 + (t - t0) d), with j0 the joint at the
+    incumbent, t0 its coordinate and d the joint's derivative in it."""
+    joint0, t0 = engine.joint(state), state.get(coord)
+    direction = engine.direction(state, coord)
+    return lambda t: value(joint0 + (t - t0) * direction)
 
 
 def _random_start(
@@ -479,31 +503,35 @@ def line_maximize(
 
 
 def _slack_probe(
-    block: np.ndarray, word: np.ndarray, s: float
+    word: np.ndarray, eig: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float, float, float]:
-    """One eigh of A + sP: (lam, g, h, largest eigenvalue), with lam the
-    smallest eigenvalue, g = v0^dagger P v0 and h = 2 sum_k |v_k^dagger P v0|^2
-    / (lam - lam_k), its first and second derivatives in s where lam is
-    simple.  The 1e-300 keeps an exactly degenerate pair finite: a zero
-    coupling adds 0, a nonzero one a huge negative h."""
-    lam, vecs = np.linalg.eigh(block + s * word)
+    """Read-out of an eigendecomposition (lam, V) of A + sP: (lam_0, g, h,
+    largest eigenvalue), with lam_0 the smallest eigenvalue, g = v0^dagger P
+    v0 and h = 2 sum_k |v_k^dagger P v0|^2 / (lam_0 - lam_k), its first and
+    second derivatives in s where lam_0 is simple.  The 1e-300 keeps an
+    exactly degenerate pair finite: a zero coupling adds 0, a nonzero one a
+    huge negative h."""
+    lam, vecs = eig
     pv = (word @ vecs[:, 0]) @ vecs.conj()
     coupling = (pv * pv.conj()).real
     h = 2.0 * float((coupling[1:] / (lam[0] - lam[1:] - 1e-300)).sum())
     return float(lam[0]), float(pv[0].real), h, float(lam[-1])
 
 
-def _slack_max(block: np.ndarray, word: np.ndarray, tol: float) -> tuple[float, float, float]:
+def _slack_max(
+    block: np.ndarray, word: np.ndarray, tol: float, eig: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float, float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Maximize lam(s), the smallest eigenvalue of A + sP, starting from s = 0.
 
-    lam is concave, and g from :func:`_slack_probe` is a supergradient of it
-    even where two branches cross, so the sign of g tells on which side of s
-    the maximum lies.  The search keeps a bracket [a, b] around the maximum
-    with a line above lam at each end: the tangent there once the end has
-    been probed.  Before that, the ends are s = +-(lam_max(A) - lam(0)) with
-    the lines lam_max(A) -+ s, which bound lam from above (take
-    u^dagger (A + sP) u for a -+1 eigenvector u of P) and fall to lam(0) at
-    those ends.
+    ``eig`` is ``np.linalg.eigh(block)``: s = 0 is read from it, so only the
+    probes at s != 0 solve, one eigh each.  lam is concave, and g from
+    :func:`_slack_probe` is a supergradient of it even where two branches
+    cross, so the sign of g tells on which side of s the maximum lies.  The
+    search keeps a bracket [a, b] around the maximum with a line above lam at
+    each end: the tangent there once the end has been probed.  Before that,
+    the ends are s = +-(lam_max(A) - lam(0)) with the lines lam_max(A) -+ s,
+    which bound lam from above (take u^dagger (A + sP) u for a -+1
+    eigenvector u of P) and fall to lam(0) at those ends.
 
     Each step goes to the Newton point s - g/h if h < 0, the point lies
     inside the bracket and the quadratic model's value there is below both
@@ -514,11 +542,13 @@ def _slack_max(block: np.ndarray, word: np.ndarray, tol: float) -> tuple[float, 
     the bracket is that narrow; a final Newton step that short is not probed
     when the gain it predicts is below ``_SLACK_RESOLUTION``.
 
-    Returns (s, lam(s), lam(0)) for the best point probed.
+    Returns (s, lam(s), lam(0), A + sP, its eigh) for the best point probed;
+    with no probe above lam(0) that is s = 0 with ``block`` and ``eig``.
     """
-    f, g, h, top = _slack_probe(block, word, 0.0)
+    f, g, h, top = _slack_probe(word, eig)
     lam0 = best_f = f
     s = best_s = 0.0
+    best_matrix, best_eig = block, eig
     reach = top - lam0
     # bracket ends with their upper-bounding lines: (end, value there, slope)
     a, fa, ga = -reach, lam0, 1.0
@@ -544,44 +574,66 @@ def _slack_max(block: np.ndarray, word: np.ndarray, tol: float) -> tuple[float, 
             if not a < t < b:
                 t = 0.5 * (a + b)
         step, s = t - s, t
-        f, g, h, _ = _slack_probe(block, word, s)
+        matrix = block + s * word
+        probe = np.linalg.eigh(matrix)
+        f, g, h, _ = _slack_probe(word, probe)
         if f > best_f:
-            best_s, best_f = s, f
+            best_s, best_f, best_matrix, best_eig = s, f, matrix, probe
         if abs(step) <= tol:
             break
-    return best_s, best_f, lam0
+    return best_s, best_f, lam0, best_matrix, best_eig
 
 
-def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig):
+def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig) -> tuple[int, str]:
     """Move objective-flat coordinates to their maximum-slack points.
 
-    Iterated until the flat set stops moving; each accepted move strictly
-    increases the block's smallest eigenvalue, so it keeps a feasible point
-    feasible, and the objective value is unchanged by construction.
+    Iterated until the flat set stops moving (stop ``converged``), at most
+    ``_CENTERING_MAX_PASSES`` passes (stop ``pass_cap``); returns (passes,
+    stop).  Each accepted move strictly increases the block's smallest
+    eigenvalue, so it keeps a feasible point feasible, and the objective value
+    is unchanged by construction.
+
+    Each block is built and solved once; after that its matrix and eigh are
+    carried from line to line.  An accepted move replaces them by the probe
+    that found it, A + sP with the solve already made; a rejected move keeps
+    them.  So a line solves only at its probes away from s = 0.
     """
     coords = [k for k in cfg.active_coords() if k != 0 and engine.is_flat(k, state.q)]
-    for _ in range(50):
+    carried = {}
+    for block in dict.fromkeys(_SLOTS[k][0] for k in coords):
+        matrix = _block_matrix(state.coeffs[block], _BLOCK_WORDS[block])
+        eig = np.linalg.eigh(matrix)
+        if eig[0][0] < -cfg.psd_tol:
+            raise InfeasibleParamsError(_BLOCKS[block], float(eig[0][0]))
+        carried[block] = matrix, eig
+    for passes in range(1, _CENTERING_MAX_PASSES + 1):
         moved = 0.0
         for coord in coords:
-            block, word, t0 = _coord_line(state, coord)
-            s, lam, lam0 = _slack_max(block, word, cfg.line_tol)
-            if lam0 < -cfg.psd_tol:
-                raise InfeasibleParamsError(COORDINATES[coord].block, lam0)
+            block, idx = _SLOTS[coord]
+            matrix, eig = carried[block]
+            s, lam, lam0, probed, probe = _slack_max(
+                matrix, _BLOCK_WORDS[block][idx], cfg.line_tol, eig
+            )
             if lam > lam0:
                 moved = max(moved, abs(s))
-                state.set(coord, t0 + s)
+                state.set(coord, state.get(coord) + s)
+                carried[block] = probed, probe
         if moved < cfg.sweep_tol:
-            break
+            return passes, "converged"
+    return _CENTERING_MAX_PASSES, "pass_cap"
 
 
-def _ascend(init: SepParams, cfg: OptimizerConfig) -> tuple[SepParams, float, int, tuple[float, ...]]:
+def _ascend(
+    init: SepParams, cfg: OptimizerConfig
+) -> tuple[SepParams, float, int, tuple[float, ...], tuple[int, str]]:
+    """(params, value, sweeps, trace, (centering passes, centering stop))."""
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
     value = partial(objective, cfg.objective)
     state = _State(init)
     _require_feasible(*state.min_eigs(), cfg.psd_tol)
 
     concave = cfg.objective in _CONCAVE_OBJECTIVES
-    _center_unranked(state, engine, cfg)
+    centering = _center_unranked(state, engine, cfg)
     current = value(engine.joint(state))
     trace = [current]
     sweeps = 0
@@ -602,7 +654,7 @@ def _ascend(init: SepParams, cfg: OptimizerConfig) -> tuple[SepParams, float, in
         trace.append(current)
         if delta < cfg.sweep_tol:
             break
-    return state.to_params(), current, sweeps, tuple(trace)
+    return state.to_params(), current, sweeps, tuple(trace), centering
 
 
 def coordinate_ascent(
@@ -615,15 +667,17 @@ def coordinate_ascent(
     largest parameter change in a sweep falls below ``sweep_tol`` or after
     ``max_sweeps`` sweeps.  Returns (final params, final value, sweeps used).
     """
-    params, value, sweeps, _ = _ascend(init, cfg or OptimizerConfig())
+    params, value, sweeps, _, _ = _ascend(init, cfg or OptimizerConfig())
     return params, value, sweeps
 
 
-def _run_restart(args) -> tuple[int, float, SepParams, int, tuple[float, ...] | None]:
+def _run_restart(args) -> tuple[RestartRecord, SepParams, tuple[float, ...] | None]:
     cfg, restart = args
-    init = _random_start(cfg.seed + restart, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
-    params, val, sweeps, trace = _ascend(init, cfg)
-    return restart, val, params, sweeps, trace if cfg.record_trace else None
+    seed = cfg.seed + restart
+    init = _random_start(seed, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
+    params, value, sweeps, trace, centering = _ascend(init, cfg)
+    record = RestartRecord(restart, seed, value, sweeps, *centering)
+    return record, params, trace if cfg.record_trace else None
 
 
 def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerResult:
@@ -643,16 +697,13 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
             outcomes = list(pool.map(_run_restart, work))
     else:
         outcomes = [_run_restart(item) for item in work]
-    outcomes.sort(key=lambda item: item[0])
-    records = tuple(
-        RestartRecord(restart=r, seed=cfg.seed + r, value=v, sweeps=s)
-        for r, v, _, s, _ in outcomes
-    )
+    outcomes.sort(key=lambda item: item[0].restart)
+    records = tuple(record for record, _, _ in outcomes)
     best_restart, best_value, best_params = None, -math.inf, None
-    for r, v, params, _, _ in outcomes:
-        if v > best_value:
-            best_restart, best_value, best_params = r, v, params
-    traces = tuple(t for _, _, _, _, t in outcomes) if cfg.record_trace else None
+    for record, params, _ in outcomes:
+        if record.value > best_value:
+            best_restart, best_value, best_params = record.restart, record.value, params
+    traces = tuple(trace for _, _, trace in outcomes) if cfg.record_trace else None
     return OptimizerResult(
         best_params=best_params,
         best_value=best_value,

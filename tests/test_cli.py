@@ -398,6 +398,39 @@ class TestOptimize:
         assert option in err and out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, capsys, tmp_path, tol):
+        out_path = tmp_path / "sep.json"
+        code, out, err = run_cli(capsys, "optimize", "sep", "--tol", tol, "--out", str(out_path))
+        assert code == 2
+        assert "sweep_tol must be positive and finite" in err and out == ""
+        assert not out_path.exists()
+
+    def test_feix_neither_checks_nor_records_sep_options(self, capsys, tmp_path):
+        docs = []
+        for extra in ((), ("--restarts", "0", "--tol", "nan")):
+            out_path = tmp_path / f"feix{len(docs)}.json"
+            code, _, err = run_cli(capsys, "optimize", "feix", *extra, "--out", str(out_path))
+            assert code == 0 and err == ""
+            doc = json.loads(out_path.read_text())
+            doc["manifest"].pop("duration_s")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert not {"restarts", "sweep_tol", "max_sweeps"} & set(docs[0]["manifest"]["config"])
+
+    def test_sep_rows_record_centering(self, capsys, tmp_path):
+        rows = {}
+        for fmt in ("json", "csv"):
+            argv = ("optimize", "sep", "--restarts", "2", "--tol", "1e-2", "--format", fmt)
+            code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / f"{fmt}.json"))
+            assert code == 0
+            rows[fmt] = json.loads(out)["restarts"] if fmt == "json" else parse_csv(out)
+        centering = [(r["centering_passes"], r["centering_stop"]) for r in rows["json"]]
+        assert centering == [
+            (int(r["centering_passes"]), r["centering_stop"]) for r in rows["csv"]
+        ]
+        assert all(passes >= 1 and stop == "converged" for passes, stop in centering)
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
         out_path = tmp_path / "sep.json"

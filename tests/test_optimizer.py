@@ -1,9 +1,12 @@
 import json
+import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import procmat.optimizer as optimizer
 from procmat.instruments import gyni_strategy
 from procmat.operators import PAULI_LETTERS
 from procmat.optimizer import (
@@ -14,6 +17,7 @@ from procmat.optimizer import (
     _coord_line,
     _Engine,
     _FeixEngine,
+    _line_fn,
     _line_interval,
     _slack_max,
     _State,
@@ -37,7 +41,7 @@ from procmat.process import (
     sep_feasibility,
     separable_from_params,
 )
-from procmat.stats import InputDist, cond_probs, entropies, joint_dist
+from procmat.stats import InputDist, cond_probs, entropies, joint_dist, objective
 
 from oracles import (
     bisect_interval,
@@ -240,7 +244,7 @@ class TestSlackMax:
             coord = int(rng.choice(flat))
             block, word, t0 = _coord_line(state, coord)
             solves.clear()
-            s, lam, lam0 = _slack_max(block, word, self.LINE_TOL)
+            s, lam, lam0, *_ = _slack_max(block, word, self.LINE_TOL, np.linalg.eigh(block))
             probes.append(len(solves))
             # a feasible coefficient obeys |t| <= 1/4, and the maximizer is feasible
             _, best = slack_max(block, word, -0.25 - t0, 0.25 - t0)
@@ -256,7 +260,7 @@ class TestSlackMax:
     def test_exact_crossing_kink(self, a, b):
         # the words commute: lam(s) = 1/4 - |a| - |b + s|, with h = 0 everywhere
         block = np.eye(8) / 4 + a * word_matrix("ZII") + b * word_matrix("ZZI")
-        s, lam, lam0 = _slack_max(block, word_matrix("ZZI"), self.LINE_TOL)
+        s, lam, lam0, *_ = _slack_max(block, word_matrix("ZZI"), self.LINE_TOL, np.linalg.eigh(block))
         assert s == pytest.approx(-b, abs=1e-9)
         assert lam == pytest.approx(0.25 - abs(a), abs=1e-15)
         assert lam0 == pytest.approx(0.25 - abs(a) - abs(b), abs=1e-15)
@@ -270,6 +274,106 @@ class TestSlackMax:
         assert err.value.block == "B<A"
         assert err.value.min_eig == pytest.approx(0.25 - 0.4, abs=1e-12)
         assert str(err.value) == str(InfeasibleParamsError("B<A", err.value.min_eig))
+
+
+class TestCarriedCentering:
+    """Centering carries each block's matrix and eigh from line to line
+    instead of rebuilding and re-solving it at the start of every line."""
+
+    CFG = OptimizerConfig(restarts=1, sweep_tol=1e-6)
+
+    def test_carried_block_equals_rebuilt_block_on_every_line(self, monkeypatch):
+        engine = TestFlatCoordinates().engine()
+        search = optimizer._slack_max
+        lines = []
+
+        def spy(block, word, tol, eig):
+            which = 0 if np.shares_memory(word, optimizer._BLOCK_WORDS[0]) else 1
+            rebuilt = optimizer._block_matrix(state.coeffs[which], optimizer._BLOCK_WORDS[which])
+            lam, vecs = eig
+            lines.append((
+                np.abs(block - rebuilt).max(),
+                np.abs((vecs * lam) @ vecs.conj().T - block).max(),
+            ))
+            return search(block, word, tol, eig)
+
+        monkeypatch.setattr(optimizer, "_slack_max", spy)
+        for seed in (0, 2, 3):
+            state = _State(random_feasible_init(seed))
+            _center_unranked(state, engine, self.CFG)
+        # seeds 0 and 3 converge (25 and 11 passes), seed 2 reaches the pass cap
+        assert len(lines) > 64 * 50
+        block_drift, decomposition_error = np.max(lines, axis=0)
+        assert block_drift <= 1e-14
+        assert decomposition_error <= 1e-14
+
+    def test_line_restarted_at_its_result_solves_at_most_once(self, monkeypatch):
+        engine = TestFlatCoordinates().engine()
+        rng = np.random.default_rng(9)
+        eigh = np.linalg.eigh
+        solves = []
+        for seed in range(40):
+            state = _State(random_feasible_init(seed))
+            flat = [k for k in range(1, N_COORDS) if engine.is_flat(k, state.q)]
+            block, word, _ = _coord_line(state, int(rng.choice(flat)))
+            s, lam, _, matrix, eig = _slack_max(block, word, self.CFG.line_tol, eigh(block))
+            # the returned pair is the probed matrix and its solve
+            np.testing.assert_array_equal(matrix, block + s * word if s else block)
+            np.testing.assert_array_equal(eig[0], eigh(matrix)[0])
+            monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
+            _, lam_again, lam0_again, *_ = _slack_max(matrix, word, self.CFG.line_tol, eig)
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            assert lam0_again == lam <= lam_again
+            assert len(solves) <= 1
+            solves.clear()
+
+    def test_infeasible_block_without_flat_coordinates_not_checked(self):
+        # only blocks that hold a flat coordinate are built and checked, as
+        # when each line checked its own block; the zero A<B block is already
+        # at its maximum slack along the line, so one pass moves nothing
+        engine = TestFlatCoordinates().engine()
+        state = _State(SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}))
+        cfg = OptimizerConfig(coords=(COORD_C_0ZZ - 1,))
+        assert engine.is_flat(COORD_C_0ZZ - 1, 0.5)
+        assert _center_unranked(state, engine, cfg) == (1, "converged")
+
+
+class TestCenteringRecord:
+    def test_records_converged_within_the_cap(self):
+        result = multistart(OptimizerConfig(restarts=2, seed=200, sweep_tol=1e-2))
+        for record in result.records:
+            assert record.centering_stop == "converged"
+            assert 1 <= record.centering_passes <= optimizer._CENTERING_MAX_PASSES
+
+    def test_pass_cap_recorded(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_CENTERING_MAX_PASSES", 1)
+        result = multistart(OptimizerConfig(restarts=2, seed=200, sweep_tol=1e-6, max_sweeps=1))
+        stops = [(r.centering_passes, r.centering_stop) for r in result.records]
+        assert stops == [(1, "pass_cap")] * 2
+
+    def test_records_equal_for_any_jobs(self):
+        cfg = small_cfg(restarts=2, sweep_tol=1e-2)
+        assert multistart(cfg, jobs=1).records == multistart(cfg, jobs=2).records
+
+
+class TestAffineLine:
+    """The ascent's line objective runs on the affine joint j0 + (t - t0) d."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name", OBJECTIVES)
+    def test_line_fn_equals_objective_of_rebuilt_joint(self, name, q):
+        engine = TestFlatCoordinates().engine()
+        value = partial(objective, name)
+        start = random_feasible_init(17)
+        params = SepParams(q, start.c, start.c_prime)
+        for coord in (0, 5, COORD_C_0ZZ, COORD_CP_Z0X, 44, 72):
+            state = _State(params)
+            line = _line_fn(engine, value, state, coord)
+            for t in np.linspace(*feasible_interval(params, coord), 7):
+                probe = _State(params)
+                probe.set(coord, t)
+                assert line(t) == pytest.approx(value(engine.joint(probe)), rel=0, abs=1e-14)
+            assert state.to_params().to_flat_map() == params.to_flat_map()
 
 
 def _coord_value(p, coord):
@@ -616,6 +720,14 @@ class TestConfigValidation:
     def test_bad_coords(self):
         with pytest.raises(ValueError, match="coords"):
             OptimizerConfig(coords=(99,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["sweep_tol", "line_tol", "psd_tol"])
+    def test_non_finite_tolerance_rejected(self, name, value):
+        # NaN fails every comparison: unchecked, sweep_tol = nan ran all
+        # max_sweeps sweeps and psd_tol = nan accepted every block
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            OptimizerConfig(restarts=1, max_sweeps=5, **{name: value})
 
 
 #: values of a fixed seeded configuration, pinned so that a change which keeps
