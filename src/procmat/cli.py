@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -32,7 +33,7 @@ from .instruments import (
     validate_instrument,
 )
 from .operators import from_pauli_map
-from .optimizer import GENERATOR_NAME, OptimizerConfig, feix_maximize, multistart
+from .optimizer import GENERATOR_NAME, OptimizerConfig, feix_maximize, multistart, separable_floor
 from .process import (
     FeixParams,
     InfeasibleParamsError,
@@ -287,15 +288,13 @@ def cmd_game(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _objective_of_process(cfg: OptimizerConfig, process) -> float:
-    table = cond_probs(process, cfg.instrument_a, cfg.instrument_b)
-    return objective(cfg.objective, joint_dist(table, cfg.inputs))
-
-
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    if args.mode == "sep" and args.sep_max is not None:
-        raise ValueError("--sep-max applies only to optimize feix")
+    if args.sep_max is not None:
+        if args.mode == "sep":
+            raise ValueError("--sep-max applies only to optimize feix")
+        if not math.isfinite(args.sep_max):
+            raise ValueError(f"--sep-max must be finite, got {args.sep_max!r}")
     if args.mode == "feix" and args.trace:
         raise ValueError("--trace applies only to optimize sep")
     if args.jobs < 1:
@@ -325,10 +324,14 @@ def cmd_optimize(args) -> int:
             raise FileFormatError(f"cannot write {path}: it is a directory")
         if not os.access(path.parent, os.W_OK):
             raise FileFormatError(f"cannot write {path}: no writable directory {path.parent}")
-    reference = _objective_of_process(cfg, ocb_process())
+    if args.trace and out_path.resolve() == Path(args.trace).resolve():
+        raise FileFormatError(f"--trace and --out name the same file: {args.trace}")
+    table = cond_probs(ocb_process(), cfg.instrument_a, cfg.instrument_b)
+    reference = objective(cfg.objective, joint_dist(table, cfg.inputs))
     config_echo = {
         "mode": args.mode,
         **sep_only,
+        **({"sep_max": args.sep_max} if args.mode == "feix" else {}),
         "line_tol": cfg.line_tol,
         "psd_tol": cfg.psd_tol,
         "objective": cfg.objective,
@@ -364,13 +367,7 @@ def cmd_optimize(args) -> int:
                         fh.write(f"{r},{s},{value!r}\n")
     else:
         params, best_value = feix_maximize(cfg)
-        # every point of the eps = 0 slice is causally separable with the same
-        # non-signalling part, so the slice maximum lower-bounds the separable
-        # maximum the inequality compares against
-        sep_floor = max(
-            _objective_of_process(cfg, feix_process(FeixParams(q, 0.0)))
-            for q in np.linspace(0.0, 1.0, 101)
-        )
+        sep_floor = separable_floor(cfg)
         if args.sep_max is not None:
             verdict = (
                 "inequality satisfied" if best_value > args.sep_max else "inequality not satisfied"

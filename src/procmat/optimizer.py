@@ -61,6 +61,7 @@ from .process import (
     COORDINATES,
     FEIX_WORD_BA,
     FEIX_WORDS_AB,
+    SEP_BLOCKS,
     SEP_WORDS_AB,
     SEP_WORDS_BA,
     FeixParams,
@@ -68,14 +69,11 @@ from .process import (
     SepParams,
     _require_feasible,
 )
-from .stats import OBJECTIVES, InputDist, objective
+from .stats import _CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective
 
 GENERATOR_NAME = "numpy PCG64 (default_rng)"
 
 DEFAULT_SEED = 200
-
-# conditional entropy is concave in the joint distribution too
-_CONCAVE_OBJECTIVES = frozenset({"H_AB", "H_A", "H_B", "H_A_given_B"})
 
 N_COORDS = len(COORDINATES)
 
@@ -106,12 +104,11 @@ def coord_name(coord: int) -> str:
 
 
 #: the two fixed-order blocks, in the order of ``_State.coeffs``
-_BLOCKS = ("A<B", "B<A")
-# each block is searched on the three factors it does not hold at the
-# identity: A<B drops B_O (letter 3 of its words), B<A drops A_O (letter 1)
-_BLOCK_WORDS = (
-    np.stack([pauli_matrix(w[:3]) for w in SEP_WORDS_AB]),
-    np.stack([pauli_matrix(w[0] + w[2:]) for w in SEP_WORDS_BA]),
+_BLOCKS = tuple(name for name, _ in SEP_BLOCKS)
+# each block is searched on the three factors it does not hold at the identity
+_BLOCK_WORDS = tuple(
+    np.stack([pauli_matrix(w[:at] + w[at + 1 :]) for w in words])
+    for words, (_, at) in zip((SEP_WORDS_AB, SEP_WORDS_BA), SEP_BLOCKS)
 )
 
 
@@ -764,31 +761,40 @@ class _FeixEngine:
     def eps_bound(self, q: float, psd_tol: float) -> float:
         """Largest feasible eps at fixed q, by bisection on the smallest
         eigenvalue; -1 when eps = 0 is infeasible."""
-        lo, hi = 0.0, 1.0001
-        if self.min_eig(q, lo) < -psd_tol:
+        if self.min_eig(q, 0.0) < -psd_tol:
             return -1.0
-        for _ in range(_FEIX_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if self.min_eig(q, mid) >= -psd_tol:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _bisect_edge(lambda eps: self.min_eig(q, eps) >= -psd_tol, 0.0, 1.0001)
 
     def q_interval(self, q0: float, eps: float, psd_tol: float) -> tuple[float, float]:
         """Feasible q interval at fixed eps around the feasible q0, by bisection
         outward from q0 on each side."""
-        ends = []
-        for sign in (-1.0, 1.0):
-            lo, hi = q0, 0.5 + sign * 0.5001
-            for _ in range(_FEIX_BISECTION_STEPS):
-                mid = 0.5 * (lo + hi)
-                if 0.0 <= mid <= 1.0 and self.min_eig(mid, eps) >= -psd_tol:
-                    lo = mid
-                else:
-                    hi = mid
-            ends.append(lo)
-        return min(ends[0], q0), max(ends[1], q0)
+        def feasible(q: float) -> bool:
+            return 0.0 <= q <= 1.0 and self.min_eig(q, eps) >= -psd_tol
+
+        low, high = (_bisect_edge(feasible, q0, 0.5 + sign * 0.5001) for sign in (-1.0, 1.0))
+        return min(low, q0), max(high, q0)
+
+
+def _bisect_edge(feasible: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The feasible end of the bracket from the feasible ``lo`` to the
+    infeasible ``hi`` (either side) after ``_FEIX_BISECTION_STEPS`` halvings.
+
+    On the Feix plane each edge is the root of a quadratic in eps or q, but
+    the root is not taken in closed form.  At the exact root of
+    min_eig = -psd_tol the 16 x 16 eigensolve of the process reads up to
+    2.7e-16 below -psd_tol (over 1001 values of q), so that endpoint would
+    not re-check as feasible.  A root of min_eig = -psd_tol / 2 instead falls
+    short of the edge where min_eig is flat: at q = 1 the 16 x 16 smallest
+    eigenvalue 1e-8 beyond that root in eps is still -5.0e-11.  The bisection
+    keeps a point that tests feasible, within 5e-10 of the edge.
+    """
+    for _ in range(_FEIX_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def feix_maximize(
@@ -833,3 +839,13 @@ def feix_maximize(
         if moved < cfg.line_tol * 10:
             break
     return FeixParams(best_q, best_e), best_v
+
+
+def separable_floor(cfg: OptimizerConfig | None = None) -> float:
+    """Largest objective value on the eps = 0 edge of the Feix plane (q = 0,
+    0.01, ..., 1), from one ``stats.objective`` call: that edge is causally
+    separable with the same non-signalling part, so this bounds the separable
+    maximum from below."""
+    cfg = cfg or OptimizerConfig()
+    eng = _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
+    return float(np.max(objective(cfg.objective, eng.joint(np.linspace(0.0, 1.0, 101), 0.0))))

@@ -160,16 +160,27 @@ class Coordinate(NamedTuple):
     word: str | None  # Pauli word on A_I, A_O, B_I, B_O; None for q
 
 
+#: The separable family's fixed-order blocks, in coefficient order, each with
+#: the position in A_I, A_O, B_I, B_O of the factor it holds at the identity:
+#: B_O for A<B (Bob cannot signal to Alice), A_O for B<A.
+SEP_BLOCKS = (("A<B", CANONICAL_LABELS.index(B_OUT)), ("B<A", CANONICAL_LABELS.index(A_OUT)))
+
+
 def _coordinate_table() -> tuple[Coordinate, ...]:
-    # a coefficient's word is its index letters with the block's identity
-    # factor put in: I on B_O for A<B, I on A_O for B<A
+    # a coefficient's word is its index letters with I put in at its block's
+    # identity factor
     pauli = str.maketrans(AXIS_FULL, "IXYZ")
+
+    def word(letters: str, at: int) -> str:
+        return (letters[:at] + "0" + letters[at:]).translate(pauli)
+
+    (ab_name, ab_at), (ba_name, ba_at) = SEP_BLOCKS
     ab = [
-        Coordinate(f"c_{a}{i}{j}", "A<B", f"{a}{i}{j}0".translate(pauli))
+        Coordinate(f"c_{a}{i}{j}", ab_name, word(f"{a}{i}{j}", ab_at))
         for a in AXIS_FULL for i in AXIS_SPATIAL for j in AXIS_SPATIAL
     ]
     ba = [
-        Coordinate(f"cp_{i}{a}{j}", "B<A", f"{i}0{a}{j}".translate(pauli))
+        Coordinate(f"cp_{i}{a}{j}", ba_name, word(f"{i}{a}{j}", ba_at))
         for i in AXIS_SPATIAL for a in AXIS_FULL for j in AXIS_SPATIAL
     ]
     return (Coordinate("q", None, None), *ab, *ba)

@@ -169,27 +169,9 @@ def _entropy(p: np.ndarray, axes: int) -> np.ndarray:
     return -np.add.reduce(p * np.log2(p), axis=-1)
 
 
-def entropies(joint: np.ndarray) -> EntropyReport:
-    """All five Shannon quantities of a joint (a, b) distribution, in bits.
-
-    Uses the convention 0 log 0 = 0; entries below 1e-15 count as exact zeros.
-    """
-    joint = np.asarray(joint, dtype=float)
-    h_ab = float(_entropy(joint, 2))
-    h_a = float(_entropy(joint.sum(axis=1), 1))
-    h_b = float(_entropy(joint.sum(axis=0), 1))
-    return EntropyReport(
-        h_ab=h_ab,
-        h_a=h_a,
-        h_b=h_b,
-        h_a_given_b=h_ab - h_b,
-        i_ab=h_a + h_b - h_ab,
-    )
-
-
 #: each Shannon quantity of a nonnegative joint distribution, or of a stack of
 #: them indexed (..., a, b), computing only the entropies it needs; the keys
-#: are the objective names
+#: are the objective names, in the field order of ``EntropyReport``
 _QUANTITIES = {
     "H_AB": lambda joint: _entropy(joint, 2),
     "H_A": lambda joint: _entropy(joint.sum(axis=-1), 1),
@@ -199,20 +181,34 @@ _QUANTITIES = {
         _entropy(joint.sum(axis=-1), 1) + _entropy(joint.sum(axis=-2), 1) - _entropy(joint, 2)
     ),
 }
+#: the quantities concave in the joint distribution (conditional entropy
+#: included); mutual information is not
+_CONCAVE_OBJECTIVES = frozenset({"H_AB", "H_A", "H_B", "H_A_given_B"})
 OBJECTIVES = tuple(_QUANTITIES)
 
 
 def objective(name: str, joint: np.ndarray) -> float | np.ndarray:
     """The named Shannon quantity (one of ``OBJECTIVES``) of a joint (a, b)
-    distribution, in bits, as :func:`entropies` reports it; of a stack of
-    joints indexed (..., a, b), the array of the per-joint values, each equal
-    bitwise to the value of its joint alone.
+    distribution, in bits; of a stack of joints indexed (..., a, b), the
+    array of the per-joint values, each equal bitwise to the value of its
+    joint alone.
 
     Negative entries (roundoff of an affine map to the joint) are clamped to
     zero first.
     """
     value = _QUANTITIES[name](np.maximum(joint, 0.0))
     return float(value) if value.ndim == 0 else value
+
+
+def entropies(joint: np.ndarray) -> EntropyReport:
+    """All five Shannon quantities of a joint (a, b) distribution, in bits:
+    the values of :func:`objective` in ``OBJECTIVES`` order.
+
+    Uses the convention 0 log 0 = 0; entries below 1e-15 count as exact zeros,
+    and negative entries are clamped to zero first, as in :func:`objective`.
+    """
+    joint = np.asarray(joint, dtype=float)
+    return EntropyReport(*(objective(name, joint) for name in OBJECTIVES))
 
 
 def game_success(table: CondProbTable) -> float:

@@ -5,6 +5,8 @@ eigenvalues are computed by explicit loops or by a different algorithm, so
 agreement with the library is meaningful.
 """
 
+import itertools
+
 import numpy as np
 
 PAULI = {
@@ -174,3 +176,46 @@ def slack_max(block, word, lo, hi, points=2001, tol=1e-13):
             f1 = smallest(x1)
     candidates = [(float(grid[k]), float(values[k])), (x1, f1), (x2, f2)]
     return max(candidates, key=lambda item: item[1])
+
+
+def trace_replace(matrix, dims, traced):
+    """(I_X / d_X) (x) Tr_X of ``matrix`` on factors of dimensions ``dims``,
+    X being the factor positions ``traced``, entry by entry.  An entry whose
+    row and column indices differ on a traced factor is 0; any other is the
+    sum over every common value of the traced indices, divided by each
+    traced dimension.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    side = matrix.shape[0]
+
+    def digits(flat):
+        out = []
+        for d in reversed(dims):
+            out.append(flat % d)
+            flat //= d
+        return out[::-1]
+
+    def flat_index(digs):
+        flat = 0
+        for d, k in zip(dims, digs):
+            flat = flat * d + k
+        return flat
+
+    traced_values = list(itertools.product(*(range(dims[pos]) for pos in traced)))
+    out = np.zeros((side, side), dtype=complex)
+    for row in range(side):
+        r = digits(row)
+        for col in range(side):
+            c = digits(col)
+            if any(r[pos] != c[pos] for pos in traced):
+                continue
+            total = 0.0 + 0.0j
+            for vals in traced_values:
+                rr, cc = list(r), list(c)
+                for pos, k in zip(traced, vals):
+                    rr[pos] = cc[pos] = k
+                total += matrix[flat_index(rr), flat_index(cc)]
+            for pos in traced:
+                total /= dims[pos]
+            out[row, col] = total
+    return out

@@ -3,13 +3,18 @@ import io
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from procmat.cli import main
+from procmat.instruments import gyni_strategy
+from procmat.process import FeixParams, feix_process
+from procmat.stats import InputDist, cond_probs, joint_dist, objective
 
 SQRT2 = np.sqrt(2)
+SEEDED = json.loads((Path(__file__).parent / "seeded_results.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -478,6 +483,94 @@ class TestOptimize:
         assert f"error: cannot write {directory}:" in err and out == ""
         assert list(tmp_path.iterdir()) == [directory]
         assert list(directory.iterdir()) == []
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sep_max_exit_2_before_search(self, capsys, tmp_path, monkeypatch, value):
+        import procmat.cli as cli
+
+        def no_search(*_, **__):
+            raise AssertionError("the search ran before --sep-max was checked")
+
+        monkeypatch.setattr(cli, "feix_maximize", no_search)
+        out_path = tmp_path / "feix.json"
+        code, out, err = run_cli(
+            capsys, "optimize", "feix", f"--sep-max={value}", "--out", str(out_path)
+        )
+        assert code == 2
+        assert "--sep-max must be finite" in err and out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("options, recorded", [((), None), (("--sep-max", "1.0"), 1.0)])
+    def test_feix_records_sep_max(self, capsys, tmp_path, options, recorded):
+        out_path = tmp_path / "feix.json"
+        code, out, _ = run_cli(
+            capsys, "optimize", "feix", *options, "--out", str(out_path), "--format", "json"
+        )
+        assert code == 0
+        for doc in (json.loads(out), json.loads(out_path.read_text())):
+            config = doc["manifest"]["config"]
+            assert "sep_max" in config and config["sep_max"] == recorded
+
+    def test_trace_and_out_naming_the_same_file_exit_2_before_search(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import procmat.cli as cli
+
+        def no_search(*_, **__):
+            raise AssertionError("the search ran before the output paths were compared")
+
+        monkeypatch.setattr(cli, "multistart", no_search)
+        monkeypatch.chdir(tmp_path)
+        for trace in ("result", str(tmp_path / "result")):
+            code, out, err = run_cli(
+                capsys, "optimize", "sep", "--restarts", "1", "--tol", "1e-2",
+                "--trace", trace, "--out", "result",
+            )
+            assert code == 2
+            assert "--trace and --out name the same file" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSeparableFloor:
+    """``optimize feix`` takes its separable floor from the Feix plane it
+    searches, with no Feix process built."""
+
+    @staticmethod
+    def process_floor(name, inputs):
+        # the 101-point eps = 0 floor through the process route
+        ins_a, ins_b = gyni_strategy("A"), gyni_strategy("B")
+        tables = (
+            cond_probs(feix_process(FeixParams(q, 0.0)), ins_a, ins_b)
+            for q in np.linspace(0.0, 1.0, 101)
+        )
+        return max(objective(name, joint_dist(table, inputs)) for table in tables)
+
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+    @pytest.mark.parametrize("name", ["H_AB", "I_AB"])
+    def test_floor_needs_no_feix_process(self, capsys, tmp_path, monkeypatch, kind, name):
+        import procmat.cli as cli
+
+        inputs, options = InputDist.uniform(), []
+        if kind == "dirichlet":
+            probs = SEEDED["feix_dirichlet"]["inputs"]
+            path = tmp_path / "inputs.json"
+            path.write_text(json.dumps(probs))
+            inputs, options = InputDist(np.array(probs)), ["--inputs", str(path)]
+        expected = self.process_floor(name, inputs)
+
+        def no_process(*_, **__):
+            raise AssertionError("optimize feix built a Feix process")
+
+        monkeypatch.setattr(cli, "feix_process", no_process)
+        code, out, _ = run_cli(
+            capsys, "optimize", "feix", "--objective", name, *options,
+            "--out", str(tmp_path / "feix.json"), "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["separable_floor"] - expected) <= 1e-15
+        assert doc["verdict"] == "inequality not satisfied"
 
 
 class TestFormatsAgree:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from procmat.process import ocb_process
 
 from conftest import random_hermitian
 from oracles import charpoly_min_eig
+from oracles import trace_replace as naive_trace_replace
 
 SQRT2 = np.sqrt(2)
 
@@ -161,6 +164,28 @@ class TestTraceReplace:
         # construction would reject otherwise; assert the residual directly
         out = trace_replace(random_hermitian(rng, 16), ["A_O"])
         assert np.abs(out.matrix - out.matrix.conj().T).max() <= 1e-12
+
+    @staticmethod
+    def subsets(n):
+        return [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+
+    def test_matches_index_loop_oracle_on_every_factor_subset(self, rng):
+        for _ in range(3):
+            op = random_hermitian(rng, 16)
+            subsets = self.subsets(4)
+            assert len(subsets) == 15
+            for positions in subsets:
+                out = trace_replace(op, [op.labels[p].name for p in positions])
+                expected = naive_trace_replace(op.matrix, op.dims, positions)
+                np.testing.assert_allclose(out.matrix, expected, rtol=0, atol=1e-15)
+
+    def test_matches_index_loop_oracle_on_mixed_dimensions(self, rng):
+        labels = (Subsystem("P", 2), Subsystem("Q", 3), Subsystem("R", 2))
+        op = random_hermitian(rng, 12, labels)
+        for positions in self.subsets(3):
+            out = trace_replace(op, [labels[p] for p in positions])
+            expected = naive_trace_replace(op.matrix, op.dims, positions)
+            np.testing.assert_allclose(out.matrix, expected, rtol=0, atol=1e-15)
 
 
 class TestPauliTerm:

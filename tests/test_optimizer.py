@@ -8,7 +8,7 @@ import pytest
 
 import procmat.optimizer as optimizer
 from procmat.instruments import gyni_strategy
-from procmat.operators import PAULI_LETTERS
+from procmat.operators import CANONICAL_LABELS, PAULI_LETTERS
 from procmat.optimizer import (
     N_COORDS,
     OBJECTIVES,
@@ -30,6 +30,7 @@ from procmat.optimizer import (
     random_feasible_init,
 )
 from procmat.process import (
+    SEP_BLOCKS,
     SEP_WORDS_AB,
     SEP_WORDS_BA,
     FeixParams,
@@ -706,6 +707,24 @@ class TestPartyTables:
                         for ia, a in enumerate(ins.outcomes(x)):
                             value = naive_trace_product(ins.operators[(x, a)].matrix, word)
                             assert table[m, n, ia, ix] == pytest.approx(value.real, abs=1e-15)
+
+
+class TestBlockWords:
+    def test_block_words_are_the_words_off_the_identity_factor(self):
+        # each 8 x 8 block word, with I put back at its block's identity
+        # factor, is the 16 x 16 word of its coordinate
+        rows, cols = "abcd", "efgh"
+        assert [name for name, _ in SEP_BLOCKS] == ["A<B", "B<A"]
+        assert [CANONICAL_LABELS[at].name for _, at in SEP_BLOCKS] == ["B_O", "A_O"]
+        for b, ((name, at), words) in enumerate(zip(SEP_BLOCKS, (SEP_WORDS_AB, SEP_WORDS_BA))):
+            assert optimizer._BLOCKS[b] == name
+            keep = "".join(rows[k] for k in range(4) if k != at)
+            keep += "".join(cols[k] for k in range(4) if k != at)
+            embed = f"{keep},{rows[at]}{cols[at]}->{rows}{cols}"
+            assert len(words) == 36 and all(word[at] == "I" for word in words)
+            for small, word in zip(optimizer._BLOCK_WORDS[b], words):
+                full = np.einsum(embed, small.reshape((2,) * 6), np.eye(2)).reshape(16, 16)
+                assert np.array_equal(full, word_matrix(word))
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ from procmat.instruments import gyni_strategy
 from procmat.operators import identity
 from procmat.process import SepParams, maximally_mixed, ocb_process, separable_from_params
 from procmat.stats import (
+    _CONCAVE_OBJECTIVES,
     OBJECTIVES,
     CondProbTable,
     InputDist,
@@ -207,6 +208,18 @@ class TestEntropies:
             single = np.array([[objective(name, j) for j in row] for row in joints])
             assert stacked.tobytes() == single.tobytes()
             assert isinstance(objective(name, joints[0, 0]), float)
+
+    def test_concave_objectives_are_the_concave_quantities(self, rng):
+        # midpoint concavity on random segments; mutual information fails it
+        pairs = rng.dirichlet(np.full(4, 0.7), size=(400, 2)).reshape(400, 2, 2, 2)
+        for name in OBJECTIVES:
+            ends = objective(name, pairs)
+            gap = objective(name, pairs.mean(axis=1)) - ends.mean(axis=1)
+            if name in _CONCAVE_OBJECTIVES:
+                assert gap.min() >= -1e-12
+            else:
+                assert gap.min() < -1e-3
+        assert set(_CONCAVE_OBJECTIVES) == set(OBJECTIVES) - {"I_AB"}
 
 
 class TestGameSuccess:
