@@ -64,17 +64,30 @@ class _ValidationFailure(Exception):
     """A semantic validation failure (exit status 1)."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise ValueError(f"repeated key(s) {', '.join(map(repr, repeated))}")
+    return obj
+
+
 def _read(path: str, parse, object_of: str | None = None):
     """``parse`` applied to the JSON at ``path``, which must be an object when
-    ``object_of`` is given; failures are FileFormatErrors naming the file.
+    ``object_of`` is given; failures, a key repeated within one object
+    included, are FileFormatErrors naming the file.
     Only the instruments file is read by key: a missing key is a missing party."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise FileFormatError(f"cannot read {path}: no such file") from None
     except json.JSONDecodeError as err:
         raise FileFormatError(f"cannot parse {path}: {err}") from None
+    except ValueError as err:
+        raise FileFormatError(f"{path}: {err}") from None
     if object_of is not None and not isinstance(data, dict):
         raise FileFormatError(f"{path}: expected an object {object_of}")
     try:

@@ -116,16 +116,14 @@ def kraus_to_choi(
     return HermitianOperator(tuple(labels), choi.T)
 
 
-def _zero_like(labels: tuple[Subsystem, Subsystem]) -> HermitianOperator:
-    side = labels[0].dim * labels[1].dim
-    return HermitianOperator(labels, np.zeros((side, side), dtype=complex))
-
-
-def _z_projector(outcome: int) -> np.ndarray:
-    # |0><0| for outcome 0 (z eigenvalue +1), |1><1| for outcome 1 (eigenvalue -1)
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[outcome, outcome] = 1.0
-    return proj
+#: :func:`gyni_strategy` in the instrument file format: |phi+><phi+| is
+#: (II + XX - YY + ZZ)/2, and |a><a| (x) |0><0| is (I +- Z)/2 (x) (I + Z)/2.
+_GYNI_MAPS = {
+    "0,0": {},
+    "0,1": {"II": 0.5, "XX": 0.5, "YY": -0.5, "ZZ": 0.5},
+    "1,0": {"II": 0.25, "IZ": 0.25, "ZI": 0.25, "ZZ": 0.25},
+    "1,1": {"II": 0.25, "IZ": 0.25, "ZI": -0.25, "ZZ": -0.25},
+}
 
 
 def gyni_strategy(party: str) -> Instrument:
@@ -135,17 +133,7 @@ def gyni_strategy(party: str) -> Instrument:
     channel and outputs 1; on input 1 it measures in the z basis, reports the
     result, and sends out the fixed state |0><0|.
     """
-    if party not in PARTY_LABELS:
-        raise ValueError(f"party must be one of {sorted(PARTY_LABELS)}, got {party!r}")
-    labels = PARTY_LABELS[party]
-    send_zero = _z_projector(0)
-    ops = {
-        (0, 0): _zero_like(labels),
-        (0, 1): choi_identity(2, labels),
-        (1, 0): HermitianOperator(labels, np.kron(_z_projector(0), send_zero)),
-        (1, 1): HermitianOperator(labels, np.kron(_z_projector(1), send_zero)),
-    }
-    return Instrument(party, ops)
+    return instrument_from_pauli_maps(_GYNI_MAPS, party)
 
 
 def validate_instrument(
@@ -187,13 +175,16 @@ def instrument_from_pauli_maps(
     labels = PARTY_LABELS[party]
     if not isinstance(data, Mapping):
         raise ValueError(f"party {party}: expected an object of 'x,a' entries, got {data!r}")
-    ops = {}
+    ops, keys = {}, {}
     for key, pmap in data.items():
         try:
             x_str, a_str = str(key).split(",")
             x, a = int(x_str), int(a_str)
         except ValueError:
             raise ValueError(f"bad instrument key {key!r}: expected 'x,a'") from None
+        if (x, a) in keys:
+            raise ValueError(f"instrument keys {keys[x, a]!r} and {key!r} name the same (x, a)")
+        keys[x, a] = key
         if not isinstance(pmap, Mapping):
             raise ValueError(f"instrument entry {key!r}: expected a Pauli map, got {pmap!r}")
         ops[(x, a)] = from_pauli_map(pmap, labels)

@@ -8,6 +8,8 @@ The canonical four-factor order used throughout the package is
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -235,11 +237,8 @@ def pauli_term(
                 f"word {word!r} has {len(word)} letters; pass explicit labels"
             )
         labels = CANONICAL_LABELS
-    if len(labels) != len(word):
+    if _qubit_count(labels) != len(word):
         raise LabelError(f"word {word!r} does not match {len(labels)} labels")
-    for s in labels:
-        if s.dim != 2:
-            raise LabelError(f"Pauli words need qubit factors; {s.name} has dim {s.dim}")
     return HermitianOperator(tuple(labels), pauli_matrix(word))
 
 
@@ -255,17 +254,9 @@ def pauli_matrix(word: str) -> np.ndarray:
 
 
 def pauli_coeff(op: HermitianOperator, word: str) -> float:
-    """Coefficient of ``word`` in the Pauli expansion of an all-qubit operator.
-
-    Computed as trace(op . term) / 2^n; the imaginary part is discarded after
-    checking it is roundoff-sized.
-    """
-    term = pauli_term(word, op.labels)
-    value = np.einsum("ij,ji->", op.matrix, term.matrix)
-    coeff = value / op.side
-    if abs(coeff.imag) > 1e-10:
-        raise ValueError(f"coefficient of {word!r} is not real: {coeff}")
-    return float(coeff.real)
+    """Coefficient of ``word`` in the Pauli expansion of an all-qubit operator:
+    its entry of :func:`pauli_coefficients`."""
+    return float(pauli_coefficients(op)[_word_index(word, len(op.labels))])
 
 
 def min_eigenvalue(op: HermitianOperator) -> float:
@@ -273,14 +264,51 @@ def min_eigenvalue(op: HermitianOperator) -> float:
     return float(np.linalg.eigvalsh(op.matrix)[0])
 
 
-def all_pauli_words(n: int):
+@functools.cache
+def all_pauli_words(n: int) -> tuple[str, ...]:
     """All 4^n Pauli words of length n, in lexicographic I<X<Y<Z order."""
-    if n == 0:
-        yield ""
-        return
-    for head in PAULI_LETTERS:
-        for tail in all_pauli_words(n - 1):
-            yield head + tail
+    return tuple(map("".join, itertools.product(PAULI_LETTERS, repeat=n)))
+
+
+def _word_index(word, n: int) -> int:
+    """Position of an n-letter word (either case) in :func:`all_pauli_words`."""
+    try:
+        return all_pauli_words(n).index(word.upper())
+    except (AttributeError, ValueError):
+        raise ValueError(f"bad Pauli word {word!r}: expected {n} letters from IXYZ") from None
+
+
+def _qubit_count(labels: Sequence[Subsystem]) -> int:
+    for s in labels:
+        if s.dim != 2:
+            raise LabelError(f"Pauli words need qubit factors; {s.name} has dim {s.dim}")
+    return len(labels)
+
+
+@functools.cache
+def pauli_basis(n: int) -> np.ndarray:
+    """The matrices of the 4^n Pauli words of n qubits, stacked in
+    :func:`all_pauli_words` order: a read-only (4^n, 2^n, 2^n) array, built
+    once per n (1 MB for the four canonical factors)."""
+    words = all_pauli_words(n)
+    basis = np.empty((len(words), 2**n, 2**n), dtype=complex)
+    for k, word in enumerate(words):
+        basis[k] = pauli_matrix(word)
+    basis.setflags(write=False)
+    return basis
+
+
+def pauli_coefficients(op: HermitianOperator) -> np.ndarray:
+    """tr(op P) / 2^n for every word P of an all-qubit operator, in
+    :func:`all_pauli_words` order; an imaginary part above 1e-10 is an error
+    naming its word, one below it is roundoff and is discarded."""
+    n = _qubit_count(op.labels)
+    coeffs = np.einsum("ij,kji->k", op.matrix, pauli_basis(n)) / op.side
+    imag = np.abs(coeffs.imag)
+    if imag.max() > 1e-10:
+        word = all_pauli_words(n)[int(imag.argmax())]
+        raise ValueError(f"coefficient of {word!r} is not real: |Im| = {imag.max():.3e}")
+    return coeffs.real
 
 
 #: coefficients at or below this magnitude are trace-contraction roundoff
@@ -295,37 +323,37 @@ def to_pauli_map(op: HermitianOperator) -> dict[str, float]:
     Magnitudes at or below 1e-13 are treated as exact zeros (the contraction
     produces that much roundoff on entries of order one).
     """
-    out = {}
-    for word in all_pauli_words(len(op.labels)):
-        coeff = pauli_coeff(op, word)
-        if abs(coeff) > COEFF_DROP_TOL:
-            out[word] = coeff
-    return out
+    coeffs = pauli_coefficients(op)
+    words = all_pauli_words(len(op.labels))
+    return {words[k]: float(coeffs[k]) for k in np.flatnonzero(np.abs(coeffs) > COEFF_DROP_TOL)}
 
 
 def from_pauli_map(
     mapping: Mapping[str, float], labels: Sequence[Subsystem] | None = None
 ) -> HermitianOperator:
-    """Rebuild an operator from its Pauli-coefficient map.
+    """Rebuild an operator from its Pauli-coefficient map: one contraction of
+    the coefficient vector with :func:`pauli_basis`.
 
-    Unknown letters, inconsistent word lengths and non-finite coefficients
-    are rejected with the offending key named.
+    Unknown letters, inconsistent word lengths, two keys naming the same word
+    (``"ZZZI"`` and ``"zzzi"``) and non-finite coefficients are rejected with
+    the offending key named.
     """
     if labels is None:
         labels = CANONICAL_LABELS
-    n = len(labels)
-    side = int(np.prod([s.dim for s in labels]))
-    mat = np.zeros((side, side), dtype=complex)
+    n = _qubit_count(labels)
+    coeffs = np.zeros(4**n)
+    keys: dict[int, str] = {}
     for word, coeff in mapping.items():
-        if not isinstance(word, str) or len(word) != n or any(
-            ch not in PAULI_LETTERS for ch in word.upper()
-        ):
-            raise ValueError(f"bad Pauli map key {word!r}: expected {n} letters from IXYZ")
+        k = _word_index(word, n)
+        if k in keys:
+            raise ValueError(f"Pauli map keys {keys[k]!r} and {word!r} name the same word")
+        keys[k] = word
         try:
             value = float(coeff)
         except (TypeError, ValueError):
             raise ValueError(f"bad coefficient for key {word!r}: {coeff!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"coefficient for key {word!r} must be finite, got {value}")
-        mat += value * pauli_term(word.upper(), labels).matrix
-    return HermitianOperator(tuple(labels), mat)
+        coeffs[k] = value
+    matrix = coeffs @ pauli_basis(n).reshape(4**n, -1)
+    return HermitianOperator(tuple(labels), matrix.reshape(2**n, 2**n))

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instruments import Instrument, gyni_strategy
-from .operators import PAULI_LETTERS, pauli_matrix
+from .operators import PAULI_LETTERS, pauli_coefficients, pauli_matrix
 from .process import (
     COORDINATES,
     FEIX_WORD_BA,
@@ -129,8 +129,6 @@ def _slot_table() -> tuple[tuple[int | None, int], ...]:
 
 _SLOTS = _slot_table()
 _EYE8 = np.eye(8, dtype=complex)
-#: the 16 two-letter words in (m, n) row-major order, for the party tables
-_WORDS2 = np.stack([pauli_matrix(a + b) for a in PAULI_LETTERS for b in PAULI_LETTERS])
 
 
 def _block_matrix(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -249,10 +247,8 @@ class _Engine:
         table = np.zeros((4, 4, n_a, len(xs)))
         for ix, x in enumerate(xs):
             for ia, a in enumerate(ins.outcomes(x)):
-                values = np.einsum("ij,kji->k", ins.operators[(x, a)].matrix, _WORDS2)
-                if np.abs(values.imag).max() > 1e-12:
-                    raise ValueError("instrument traces must be real")
-                table[:, :, ia, ix] = values.real.reshape(4, 4)
+                op = ins.operators[(x, a)]
+                table[:, :, ia, ix] = (pauli_coefficients(op) * op.side).reshape(4, 4)
         return table, n_a
 
     def increments(self, words: Sequence[str]) -> np.ndarray:
@@ -419,15 +415,16 @@ def _line_fn(
     return lambda t: value(joint0 + (t - t0) * direction)
 
 
-def _random_start(
+def random_feasible_init(
     seed: int,
-    psd_tol: float,
+    psd_tol: float = 1e-10,
     coords: Sequence[int] = range(N_COORDS),
     base: SepParams | None = None,
 ) -> SepParams:
     """Feasible random start over ``coords``, the others held at ``base``
-    (default zeros with q = 1/2): q uniform, coefficients Gaussian (scale
-    0.05) halved together until both blocks are PSD.
+    (default zeros with q = 1/2, whose blocks have smallest eigenvalue 1/4):
+    q uniform, coefficients Gaussian (scale 0.05) halved together until both
+    blocks are PSD.
 
     The base must be feasible; then the halving loop terminates, since the
     drawn coefficients shrink towards it.  Deterministic function of seed.
@@ -445,16 +442,6 @@ def _random_start(
         if min(state.min_eigs()) >= -psd_tol:
             return state.to_params()
         draws = draws * 0.5
-
-
-def random_feasible_init(seed: int, psd_tol: float = 1e-10) -> SepParams:
-    """Feasible random start: q uniform, coefficients Gaussian (scale 0.05)
-    halved together until both blocks are PSD.
-
-    Zero coefficients give the maximally mixed blocks (smallest eigenvalue
-    1/4), so the halving loop terminates.  Deterministic function of seed.
-    """
-    return _random_start(seed, psd_tol)
 
 
 def feasible_interval(
@@ -671,7 +658,7 @@ def coordinate_ascent(
 def _run_restart(args) -> tuple[RestartRecord, SepParams, tuple[float, ...] | None]:
     cfg, restart = args
     seed = cfg.seed + restart
-    init = _random_start(seed, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
+    init = random_feasible_init(seed, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
     params, value, sweeps, trace, centering = _ascend(init, cfg)
     record = RestartRecord(restart, seed, value, sweeps, *centering)
     return record, params, trace if cfg.record_trace else None

@@ -27,10 +27,9 @@ from .operators import (
     B_OUT,
     CANONICAL_LABELS,
     HermitianOperator,
+    from_pauli_map,
     identity,
     min_eigenvalue,
-    pauli_matrix,
-    pauli_term,
     trace_replace,
 )
 from .validation import CheckResult, ValidityReport
@@ -132,19 +131,16 @@ def nonsignalling_part(op: HermitianOperator) -> HermitianOperator:
 
 def maximally_mixed() -> ProcessMatrix:
     """The process with trivial correlations, I/4 on the canonical factors."""
-    return as_process(identity(CANONICAL_LABELS) * 0.25)
+    return as_process(from_pauli_map({"IIII": 0.25}))
 
 
 def ocb_process() -> ProcessMatrix:
     """The nonseparable process violating the guess-your-neighbour bound.
 
-    W = (I + (ZZZI + ZIXX)/sqrt(2)) / 4; its only nonzero Pauli coefficients
-    are IIII -> 1/4 and ZZZI, ZIXX -> 1/(4 sqrt 2).
+    W = (I + (ZZZI + ZIXX)/sqrt(2)) / 4.
     """
-    w = identity(CANONICAL_LABELS) + (1 / np.sqrt(2)) * (
-        pauli_term("ZZZI") + pauli_term("ZIXX")
-    )
-    return as_process(0.25 * w)
+    coupling = 0.25 / math.sqrt(2)
+    return as_process(from_pauli_map({"IIII": 0.25, "ZZZI": coupling, "ZIXX": coupling}))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +193,6 @@ _COORD_INDEX = {coord.name: k for k, coord in enumerate(COORDINATES)}
 SEP_WORDS_AB = tuple(coord.word for coord in COORDINATES if coord.block == "A<B")
 #: 4-letter Pauli words of the B<A block, in c_prime-array (i, alpha, j) order.
 SEP_WORDS_BA = tuple(coord.word for coord in COORDINATES if coord.block == "B<A")
-
-_WORD_STACK_AB = np.stack([pauli_matrix(w) for w in SEP_WORDS_AB])
-_WORD_STACK_BA = np.stack([pauli_matrix(w) for w in SEP_WORDS_BA])
 
 
 @dataclass(frozen=True)
@@ -260,20 +253,18 @@ class SepParams:
         return cls(values[0], c.reshape(4, 3, 3), c_prime.reshape(3, 4, 3))
 
 
-def _block_operator(stack: np.ndarray, coeffs: np.ndarray) -> HermitianOperator:
-    return HermitianOperator(
-        CANONICAL_LABELS, np.eye(16) / 4 + np.tensordot(coeffs.ravel(), stack, axes=(0, 0))
-    )
+def _block_operator(words: tuple[str, ...], coeffs: np.ndarray) -> HermitianOperator:
+    return from_pauli_map({"IIII": 0.25, **dict(zip(words, coeffs.ravel().tolist()))})
 
 
 def ordered_block_ab(p: SepParams) -> HermitianOperator:
     """W^{A<B}: identity on B_O, so Bob cannot signal to Alice."""
-    return _block_operator(_WORD_STACK_AB, p.c)
+    return _block_operator(SEP_WORDS_AB, p.c)
 
 
 def ordered_block_ba(p: SepParams) -> HermitianOperator:
     """W^{B<A}: identity on A_O, so Alice cannot signal to Bob."""
-    return _block_operator(_WORD_STACK_BA, p.c_prime)
+    return _block_operator(SEP_WORDS_BA, p.c_prime)
 
 
 def sep_feasibility(p: SepParams) -> tuple[float, float]:
@@ -337,13 +328,12 @@ FEIX_WORD_BA = "ZIXZ"
 
 def feix_block_ab() -> HermitianOperator:
     """(I + (XX + YY + ZZ on A_O,B_I)/3) / 4: a channel-like A<B process."""
-    coupling = HermitianOperator(CANONICAL_LABELS, sum(pauli_matrix(w) for w in FEIX_WORDS_AB))
-    return 0.25 * (identity(CANONICAL_LABELS) + (1.0 / 3.0) * coupling)
+    return from_pauli_map({"IIII": 0.25, **dict.fromkeys(FEIX_WORDS_AB, 0.25 / 3)})
 
 
 def feix_block_ba() -> HermitianOperator:
     """(I + ZIXZ) / 4: a B<A process."""
-    return 0.25 * (identity(CANONICAL_LABELS) + pauli_term(FEIX_WORD_BA))
+    return from_pauli_map({"IIII": 0.25, FEIX_WORD_BA: 0.25})
 
 
 def feix_process(p: FeixParams) -> ProcessMatrix:

@@ -10,7 +10,6 @@ all entropies are in bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
@@ -222,26 +221,3 @@ def game_success(table: CondProbTable) -> float:
     p = table.probs
     return float(sum(p[y, x, x, y] for x in range(2) for y in range(2)) / 4.0)
 
-
-def table_to_csv(table: CondProbTable) -> str:
-    """Flat CSV with columns a,b,x,y,p."""
-    buf = StringIO()
-    buf.write("a,b,x,y,p\n")
-    n_a, n_b, n_x, n_y = table.shape
-    for a in range(n_a):
-        for b in range(n_b):
-            for x in range(n_x):
-                for y in range(n_y):
-                    buf.write(f"{a},{b},{x},{y},{float(table.probs[a, b, x, y])!r}\n")
-    return buf.getvalue()
-
-
-def joint_to_csv(joint: np.ndarray) -> str:
-    """Flat CSV with columns a,b,p."""
-    joint = np.asarray(joint, dtype=float)
-    buf = StringIO()
-    buf.write("a,b,p\n")
-    for a in range(joint.shape[0]):
-        for b in range(joint.shape[1]):
-            buf.write(f"{a},{b},{float(joint[a, b])!r}\n")
-    return buf.getvalue()

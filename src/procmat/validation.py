@@ -47,6 +47,7 @@ class ValidityReport:
     def lines(self) -> list[str]:
         out = []
         for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            out.append(f"{status}  {c.name}: residual {c.residual:.3e} (tol {c.tolerance:.0e})")
+            status, rule = ("pass", "<=") if c.passed else ("FAIL", ">")
+            residual = f"residual {c.residual:.3e} {rule} tol {c.tolerance:.0e}"
+            out.append(f"{status}  {c.name}: {residual}")
         return out

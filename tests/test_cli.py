@@ -67,6 +67,28 @@ class TestValidate:
         assert out == ""
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"IIII": 0.25, "ZZZI": 0.1, "zzzi": 0.1}', "'ZZZI' and 'zzzi'"),
+            ('{"IIII": 0.25, "XIII": 0.1, "XIII": 0.1}', "'XIII'"),
+        ],
+    )
+    def test_repeated_pauli_key_exit_2(self, capsys, tmp_path, text, named):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "--file", str(path))
+        assert code == 2
+        assert "twice.json" in err and named in err and out == ""
+
+    def test_repeated_parameter_key_exit_2(self, capsys, tmp_path):
+        # json.load alone keeps the last value: q would read 0.9
+        path = tmp_path / "params.json"
+        path.write_text('{"q": 0.5, "c_0zz": 0.01, "q": 0.9}')
+        code, out, err = run_cli(capsys, "validate", "sep", "--params", str(path))
+        assert code == 2
+        assert "params.json" in err and "repeated key(s) 'q'" in err and out == ""
+
     def test_unparseable_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -224,6 +246,18 @@ class TestEntropy:
         code, _, err = run_cli(capsys, "entropy", "ocb", "--instruments", str(path))
         assert code == 2
         assert "instruments.json" in err
+
+    def test_instruments_entry_repeated_exit_2(self, capsys, tmp_path):
+        from procmat.instruments import gyni_strategy, instrument_to_pauli_maps
+
+        party_a = instrument_to_pauli_maps(gyni_strategy("A"))
+        party_a[" 0,1"] = {"II": 0.5}
+        path = tmp_path / "instruments.json"
+        party_b = instrument_to_pauli_maps(gyni_strategy("B"))
+        path.write_text(json.dumps({"A": party_a, "B": party_b}))
+        code, out, err = run_cli(capsys, "entropy", "ocb", "--instruments", str(path))
+        assert code == 2
+        assert "instruments.json" in err and "'0,1' and ' 0,1'" in err and out == ""
 
     def test_non_finite_parameters_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", "feix", "--eps", "nan")

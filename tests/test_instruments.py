@@ -140,3 +140,12 @@ class TestSerialization:
     def test_bad_key_rejected(self):
         with pytest.raises(ValueError, match="x,a"):
             instrument_from_pauli_maps({"zero-one": {"II": 1.0}}, "A")
+
+    def test_keys_naming_the_same_operation_rejected(self):
+        data = {"0,1": {"II": 0.5}, " 0,1": {"II": 0.25}}
+        with pytest.raises(ValueError, match="'0,1' and ' 0,1' name the same"):
+            instrument_from_pauli_maps(data, "A")
+
+    def test_pauli_map_keys_naming_the_same_word_rejected(self):
+        with pytest.raises(ValueError, match="'ZZ' and 'zz'"):
+            instrument_from_pauli_maps({"0,0": {"ZZ": 0.5, "zz": 0.5}}, "B")

@@ -17,16 +17,19 @@ from procmat.operators import (
     identity,
     min_eigenvalue,
     partial_trace,
+    pauli_basis,
     pauli_coeff,
+    pauli_coefficients,
     pauli_term,
     tensor,
     to_pauli_map,
     trace_replace,
 )
-from procmat.process import ocb_process
+from procmat.instruments import gyni_strategy
+from procmat.process import feix_block_ab, feix_block_ba, maximally_mixed, ocb_process
 
 from conftest import random_hermitian
-from oracles import charpoly_min_eig
+from oracles import charpoly_min_eig, naive_trace_product, word_matrix
 from oracles import trace_replace as naive_trace_replace
 
 SQRT2 = np.sqrt(2)
@@ -230,6 +233,79 @@ class TestPauliCoeff:
         np.testing.assert_allclose(rebuilt, op.matrix, atol=1e-12)
 
 
+class TestPauliBasis:
+    def test_cached_read_only_in_word_order(self):
+        basis = pauli_basis(2)
+        assert basis is pauli_basis(2) and not basis.flags.writeable
+        assert all_pauli_words(2)[:5] == ("II", "IX", "IY", "IZ", "XI")
+        for k, word in enumerate(all_pauli_words(2)):
+            np.testing.assert_array_equal(basis[k], word_matrix(word))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decomposition_and_composition_match_per_word_oracles(self, rng, n):
+        labels = tuple(Subsystem(f"q{k}", 2) for k in range(n))
+        words = all_pauli_words(n)
+        for _ in range(3):
+            op = random_hermitian(rng, 2**n, labels)
+            coeffs = pauli_coefficients(op)
+            expected = [naive_trace_product(op.matrix, word_matrix(w)).real / 2**n for w in words]
+            np.testing.assert_allclose(coeffs, expected, rtol=0, atol=1e-15)
+            rebuilt = np.zeros((2**n, 2**n), dtype=complex)
+            for word, value in zip(words, expected):
+                rebuilt += value * word_matrix(word)
+            composed = from_pauli_map(dict(zip(words, expected)), labels)
+            np.testing.assert_allclose(composed.matrix, rebuilt, rtol=0, atol=1e-15)
+
+    def test_imaginary_coefficient_named(self):
+        # construction rejects such a matrix, so put it past the check: its
+        # Y coefficient is 1e-9 i
+        op = HermitianOperator((A_IN,), np.eye(2))
+        object.__setattr__(op, "matrix", np.array([[0, 1e-9], [-1e-9, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="'Y' is not real"):
+            pauli_coefficients(op)
+        with pytest.raises(ValueError, match="'Y' is not real"):
+            pauli_coeff(op, "X")
+
+    def test_rejects_non_qubit_factor(self):
+        op = HermitianOperator((Subsystem("big", 3),), np.eye(3))
+        with pytest.raises(LabelError, match="qubit"):
+            pauli_coefficients(op)
+
+
+class TestBuiltinPauliMaps:
+    """Each built-in operator reads back as the literal map it is built from:
+    exactly where every coefficient is dyadic, to 1e-16 otherwise."""
+
+    GYNI = {
+        (0, 0): {},
+        (0, 1): {"II": 0.5, "XX": 0.5, "YY": -0.5, "ZZ": 0.5},
+        (1, 0): {"II": 0.25, "IZ": 0.25, "ZI": 0.25, "ZZ": 0.25},
+        (1, 1): {"II": 0.25, "IZ": 0.25, "ZI": -0.25, "ZZ": -0.25},
+    }
+
+    @staticmethod
+    def assert_map(op, literal):
+        mapping = to_pauli_map(op)
+        assert list(mapping) == list(literal)
+        for word, value in literal.items():
+            assert abs(mapping[word] - value) <= 1e-16
+
+    def test_ocb(self):
+        coupling = 1 / (4 * SQRT2)
+        self.assert_map(ocb_process().op, {"IIII": 0.25, "ZIXX": coupling, "ZZZI": coupling})
+
+    def test_feix_block_ab(self):
+        literal = {"IIII": 0.25, "IXXI": 1 / 12, "IYYI": 1 / 12, "IZZI": 1 / 12}
+        self.assert_map(feix_block_ab(), literal)
+
+    def test_dyadic_maps_exact(self):
+        assert to_pauli_map(maximally_mixed().op) == {"IIII": 0.25}
+        assert to_pauli_map(feix_block_ba()) == {"IIII": 0.25, "ZIXZ": 0.25}
+        for party in "AB":
+            ops = gyni_strategy(party).operators
+            assert {key: to_pauli_map(op) for key, op in ops.items()} == self.GYNI
+
+
 class TestMinEigenvalue:
     def test_identity(self):
         assert min_eigenvalue(identity(CANONICAL_LABELS)) == pytest.approx(1.0, abs=1e-12)
@@ -288,6 +364,10 @@ class TestPauliMapFormat:
     def test_non_finite_value_named_in_error(self, value):
         with pytest.raises(ValueError, match="XIII.*finite"):
             from_pauli_map({"IIII": 0.25, "XIII": value})
+
+    def test_keys_naming_the_same_word_rejected(self):
+        with pytest.raises(ValueError, match="'ZZZI' and 'zzzi' name the same word"):
+            from_pauli_map({"IIII": 0.25, "ZZZI": 0.1, "zzzi": 0.1})
 
     def test_two_letter_words_for_party_spaces(self):
         mapping = {"II": 0.5, "ZZ": 0.25}

@@ -92,6 +92,16 @@ class TestRandomFeasibleInit:
             eig_ab, eig_ba = sep_feasibility(p)
             assert eig_ab >= -1e-10 and eig_ba >= -1e-10
 
+    def test_restricted_coords_hold_the_base(self):
+        base = random_feasible_init(5)
+        coords = (0, 7, 40)
+        start = random_feasible_init(6, 1e-10, coords, base)
+        before, after = base.to_flat_map(), start.to_flat_map()
+        changed = {name for name in before if before[name] != after[name]}
+        assert changed == {coord_name(k) for k in coords}
+        full = random_feasible_init(6, 1e-10, range(N_COORDS), SepParams.zeros())
+        assert full.to_flat_map() == random_feasible_init(6).to_flat_map()
+
     def test_halving_reaches_feasibility_fast(self, rng):
         # scale-shrink oracle: the zero point is strictly interior (min eig
         # 1/4), so halving an infeasible draw must terminate quickly

@@ -56,6 +56,14 @@ class TestValidateProcess:
         report = ocb_process().report
         assert report.valid, report.lines()
 
+    def test_lines_state_which_side_of_the_tolerance_passes(self):
+        # the PSD residual is -lambda_min, so a healthy process prints a
+        # negative residual next to "<= tol"
+        assert all(" <= tol 1e-10" in line for line in ocb_process().report.lines())
+        line = feix_process(FeixParams(0.5, 10.0)).report.lines()[0]
+        assert line.startswith("FAIL  positive semidefinite: residual ")
+        assert line.endswith(" > tol 1e-10")
+
     def test_pure_output_word_fails_a_side_marginal(self):
         # I/4 + IIIZ/4 carries a bare B_O term: projecting A's factors away
         # must leave something independent of B_O, and it does not.  The

@@ -15,9 +15,7 @@ from procmat.stats import (
     entropies,
     game_success,
     joint_dist,
-    joint_to_csv,
     objective,
-    table_to_csv,
 )
 
 from test_process import random_feasible_params
@@ -301,19 +299,3 @@ class TestNoSignalling:
         second = values[:-2] + values[2:] - 2 * values[1:-1]
         assert second.max() <= 1e-9
 
-
-class TestCsv:
-    def test_table_csv_round_trip(self, ocb_table):
-        text = table_to_csv(ocb_table)
-        lines = text.strip().splitlines()
-        assert lines[0] == "a,b,x,y,p"
-        assert len(lines) == 17
-        a, b, x, y, p = lines[1].split(",")
-        assert float(p) == ocb_table.probs[int(a), int(b), int(x), int(y)]
-
-    def test_joint_csv(self, ocb_table):
-        joint = joint_dist(ocb_table)
-        lines = joint_to_csv(joint).strip().splitlines()
-        assert lines[0] == "a,b,p"
-        assert len(lines) == 5
-        assert float(lines[1].split(",")[2]) == joint[0, 0]
