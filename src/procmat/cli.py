@@ -33,7 +33,14 @@ from .instruments import (
     validate_instrument,
 )
 from .operators import from_pauli_map
-from .optimizer import GENERATOR_NAME, OptimizerConfig, feix_maximize, multistart, separable_floor
+from .optimizer import (
+    GENERATOR_NAME,
+    OptimizerConfig,
+    feix_eps_inert,
+    feix_maximize,
+    multistart,
+    separable_floor,
+)
 from .process import (
     FeixParams,
     InfeasibleParamsError,
@@ -353,13 +360,17 @@ def cmd_optimize(args) -> int:
         **in_echo,
     }
 
+    notes = []
     if args.mode == "sep":
         result = multistart(cfg, jobs=args.jobs)
         best_value = result.best_value
         verdict = (
             "inequality satisfied" if reference > best_value else "inequality not satisfied"
         )
-        fields = ("restart", "seed", "value", "sweeps", "centering_passes", "centering_stop")
+        fields = (
+            "restart", "seed", "value", "sweeps", "centering_passes", "centering_stop",
+            "ascent_stop",
+        )
         doc = {
             "manifest": _manifest("optimize", config_echo, started, seed=cfg.seed),
             "best_value": best_value,
@@ -381,6 +392,7 @@ def cmd_optimize(args) -> int:
     else:
         params, best_value = feix_maximize(cfg)
         sep_floor = separable_floor(cfg)
+        eps_inert = feix_eps_inert(cfg)
         if args.sep_max is not None:
             verdict = (
                 "inequality satisfied" if best_value > args.sep_max else "inequality not satisfied"
@@ -395,11 +407,14 @@ def cmd_optimize(args) -> int:
             "best_params": {"q": params.q, "eps": params.eps},
             "reference": {"process": "ocb", "objective": cfg.objective, "value": reference},
             "separable_floor": sep_floor,
+            "eps_inert": eps_inert,
             "verdict": verdict,
         }
         csv_header = "q,eps,value"
         csv_rows = [(params.q, params.eps, best_value)]
         trailer = [f"verdict: {verdict}"]
+        if eps_inert:
+            notes.append("note: eps is inert: ZIXZ leaves the joint distribution unchanged")
 
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -407,6 +422,7 @@ def cmd_optimize(args) -> int:
         f"best {cfg.objective} over {args.mode} family = {_g6(best_value)} bits",
         f"reference {cfg.objective} (ocb process) = {_g6(reference)} bits",
         f"verdict: {verdict}",
+        *notes,
         f"result written to {out_path}",
     ]
     _emit(args.format, doc, csv_header, csv_rows, text, trailer)

@@ -285,11 +285,22 @@ def _qubit_count(labels: Sequence[Subsystem]) -> int:
     return len(labels)
 
 
+#: the largest qubit count with a Pauli basis: the four canonical factors
+#: (the stack holds 16^n x 16 bytes, 1 MB at n = 4 and 16 MB at n = 5)
+_MAX_BASIS_QUBITS = 4
+
+
 @functools.cache
 def pauli_basis(n: int) -> np.ndarray:
     """The matrices of the 4^n Pauli words of n qubits, stacked in
     :func:`all_pauli_words` order: a read-only (4^n, 2^n, 2^n) array, built
-    once per n (1 MB for the four canonical factors)."""
+    once per n (1 MB for the four canonical factors).  More than
+    ``_MAX_BASIS_QUBITS`` qubits is a ValueError, raised before anything is
+    built or cached."""
+    if n > _MAX_BASIS_QUBITS:
+        raise ValueError(
+            f"Pauli basis of {n} qubits: at most {_MAX_BASIS_QUBITS} qubits are supported"
+        )
     words = all_pauli_words(n)
     basis = np.empty((len(words), 2**n, 2**n), dtype=complex)
     for k, word in enumerate(words):
@@ -341,6 +352,7 @@ def from_pauli_map(
     if labels is None:
         labels = CANONICAL_LABELS
     n = _qubit_count(labels)
+    basis = pauli_basis(n)  # first: too many qubits fails before any word list is cached
     coeffs = np.zeros(4**n)
     keys: dict[int, str] = {}
     for word, coeff in mapping.items():
@@ -355,5 +367,5 @@ def from_pauli_map(
         if not math.isfinite(value):
             raise ValueError(f"coefficient for key {word!r} must be finite, got {value}")
         coeffs[k] = value
-    matrix = coeffs @ pauli_basis(n).reshape(4**n, -1)
+    matrix = coeffs @ basis.reshape(4**n, -1)
     return HermitianOperator(tuple(labels), matrix.reshape(2**n, 2**n))

@@ -42,7 +42,9 @@ and one ``stats.objective`` call on the stacked joints of its feasible points.
 
 The coordinate layout (q, then the 36 + 36 block coefficients), each
 coordinate's name, block and Pauli word come from ``process.COORDINATES``;
-the objectives are ``stats.objective``.
+the objectives are ``stats.objective``; the joint maps are built from
+``stats.party_table``, the per-party tables of the one probability rule
+``stats.cond_probs``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instruments import Instrument, gyni_strategy
-from .operators import PAULI_LETTERS, pauli_coefficients, pauli_matrix
+from .operators import PAULI_LETTERS, pauli_matrix
 from .process import (
     COORDINATES,
     FEIX_WORD_BA,
@@ -69,7 +71,7 @@ from .process import (
     SepParams,
     _require_feasible,
 )
-from .stats import _CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective
+from .stats import _CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective, party_table
 
 GENERATOR_NAME = "numpy PCG64 (default_rng)"
 
@@ -190,8 +192,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One restart: its value and ascent sweeps, and how centering ended
-    (``centering_stop`` is ``converged`` or ``pass_cap``)."""
+    """One restart: its value and ascent sweeps, how centering ended
+    (``centering_stop`` is ``converged`` or ``pass_cap``) and how the ascent
+    ended (``ascent_stop`` is ``converged`` or ``max_sweeps``)."""
 
     restart: int
     seed: int
@@ -199,6 +202,7 @@ class RestartRecord:
     sweeps: int
     centering_passes: int
     centering_stop: str
+    ascent_stop: str
 
 
 @dataclass(frozen=True)
@@ -213,19 +217,17 @@ class OptimizerResult:
 class _Engine:
     """Precomputed affine map from parameters to the joint output distribution.
 
-    For product words the trace in the probability rule factorizes per party,
-    so each of the 72 coefficients contributes a fixed per-unit increment to
-    the joint table; evaluating the objective at a parameter point is then two
-    36-element dot products.
+    For product words the trace in the probability rule factorizes per party:
+    the rule is ``stats.cond_probs``, and its per-party factors are the
+    ``stats.party_table`` arrays read here.  So each of the 72 coefficients
+    contributes a fixed per-unit increment to the joint table; evaluating the
+    objective at a parameter point is then two 36-element dot products.
     """
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
-        for ins in (instrument_a, instrument_b):
-            if any(s.dim != 2 for s in ins.labels):
-                raise ValueError("the separable-family search is qubit-specific")
         self.inputs = inputs
-        t_a, self.n_a = self._party_tables(instrument_a)
-        t_b, self.n_b = self._party_tables(instrument_b)
+        t_a, t_b = party_table(instrument_a), party_table(instrument_b)
+        self.n_a, self.n_b = t_a.shape[2], t_b.shape[2]
         p_xy = inputs.probs
         if p_xy.shape != (t_a.shape[3], t_b.shape[3]):
             raise ValueError("input distribution shape does not match instrument inputs")
@@ -238,18 +240,6 @@ class _Engine:
         # one joint increment row per block coefficient, blocks as in _BLOCKS
         self.incs = (self.increments(SEP_WORDS_AB), self.increments(SEP_WORDS_BA))
         self._base_flat = base.reshape(-1)
-
-    @staticmethod
-    def _party_tables(ins: Instrument) -> tuple[np.ndarray, int]:
-        """t[m, n, a, x] = Tr[M_{a|x} (sigma_m (x) sigma_n)]."""
-        xs = ins.inputs
-        n_a = max(len(ins.outcomes(x)) for x in xs)
-        table = np.zeros((4, 4, n_a, len(xs)))
-        for ix, x in enumerate(xs):
-            for ia, a in enumerate(ins.outcomes(x)):
-                op = ins.operators[(x, a)]
-                table[:, :, ia, ix] = (pauli_coefficients(op) * op.side).reshape(4, 4)
-        return table, n_a
 
     def increments(self, words: Sequence[str]) -> np.ndarray:
         """Joint increments of 4-letter product words, one flat row per word."""
@@ -609,8 +599,10 @@ def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig) -> tu
 
 def _ascend(
     init: SepParams, cfg: OptimizerConfig
-) -> tuple[SepParams, float, int, tuple[float, ...], tuple[int, str]]:
-    """(params, value, sweeps, trace, (centering passes, centering stop))."""
+) -> tuple[SepParams, float, int, tuple[float, ...], tuple[int, str, str]]:
+    """(params, value, sweeps, trace, (centering passes, centering stop,
+    ascent stop)); the ascent stops ``converged`` after a sweep that moves
+    no coordinate by ``sweep_tol`` or more, else at ``max_sweeps``."""
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
     value = partial(objective, cfg.objective)
     state = _State(init)
@@ -620,7 +612,7 @@ def _ascend(
     centering = _center_unranked(state, engine, cfg)
     current = value(engine.joint(state))
     trace = [current]
-    sweeps = 0
+    sweeps, stop = 0, "max_sweeps"
     for _ in range(cfg.max_sweeps):
         sweeps += 1
         delta = 0.0
@@ -637,8 +629,9 @@ def _ascend(
                 current = best_v
         trace.append(current)
         if delta < cfg.sweep_tol:
+            stop = "converged"
             break
-    return state.to_params(), current, sweeps, tuple(trace), centering
+    return state.to_params(), current, sweeps, tuple(trace), (*centering, stop)
 
 
 def coordinate_ascent(
@@ -659,8 +652,8 @@ def _run_restart(args) -> tuple[RestartRecord, SepParams, tuple[float, ...] | No
     cfg, restart = args
     seed = cfg.seed + restart
     init = random_feasible_init(seed, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
-    params, value, sweeps, trace, centering = _ascend(init, cfg)
-    record = RestartRecord(restart, seed, value, sweeps, *centering)
+    params, value, sweeps, trace, stops = _ascend(init, cfg)
+    record = RestartRecord(restart, seed, value, sweeps, *stops)
     return record, params, trace if cfg.record_trace else None
 
 
@@ -836,3 +829,12 @@ def separable_floor(cfg: OptimizerConfig | None = None) -> float:
     cfg = cfg or OptimizerConfig()
     eng = _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
     return float(np.max(objective(cfg.objective, eng.joint(np.linspace(0.0, 1.0, 101), 0.0))))
+
+
+def feix_eps_inert(cfg: OptimizerConfig | None = None) -> bool:
+    """Whether eps leaves the Feix plane's joint distribution unchanged: the
+    joint increment of its B<A word ZIXZ is exactly zero, as under the
+    built-in instruments with uniform inputs.  Then no point of the plane
+    beats its eps = 0 edge."""
+    cfg = cfg or OptimizerConfig()
+    return not _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)._inc_ba.any()

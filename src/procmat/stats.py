@@ -2,9 +2,10 @@
 entropies of the output distribution, and the guess-your-neighbour game
 score.
 
-Probabilities are p(a,b|x,y) = Tr[(M_{a|x} (x) M_{b|y}) W]; the joint output
-distribution folds in an input distribution p(x,y) (uniform by default), and
-all entropies are in bits.
+Probabilities are p(a,b|x,y) = Tr[(M_{a|x} (x) M_{b|y}) W], evaluated once,
+by :func:`cond_probs` from the parties' :func:`party_table` arrays; the joint
+output distribution folds in an input distribution p(x,y) (uniform by
+default), and all entropies are in bits.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import Instrument
-from .operators import HermitianOperator
+from .operators import HermitianOperator, pauli_coefficients
 from .process import ProcessMatrix
 
 NEGATIVITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
-IMAG_TOL = 1e-12
 ZERO_PROB = 1e-15
 
 
@@ -96,15 +96,30 @@ def _as_operator(process: ProcessMatrix | HermitianOperator) -> HermitianOperato
     return process.op if isinstance(process, ProcessMatrix) else process
 
 
+def party_table(ins: Instrument) -> np.ndarray:
+    """t[m, n, a, x] = Tr[M_{a|x} (sigma_m (x) sigma_n)], the Pauli
+    coefficients of each operator times its side.  Row a is the a-th of the
+    sorted outcomes of all inputs, so an outcome that input x lacks is a zero
+    row, and an omitted zero operator changes nothing."""
+    xs = ins.inputs
+    outcomes = sorted({a for _, a in ins.operators})
+    table = np.zeros((4, 4, len(outcomes), len(xs)))
+    for (x, a), op in ins.operators.items():
+        coeffs = pauli_coefficients(op) * op.side
+        table[:, :, outcomes.index(a), xs.index(x)] = coeffs.reshape(4, 4)
+    return table
+
+
 def cond_probs(
     process: ProcessMatrix | HermitianOperator,
     instrument_a: Instrument,
     instrument_b: Instrument,
 ) -> CondProbTable:
-    """Evaluate p(a,b|x,y) for every input/outcome combination.
-
-    The two instruments must live on the A and B factor pairs of the process.
-    Each trace must be real up to 1e-12.
+    """Evaluate p(a,b|x,y) for every input/outcome combination: the package's
+    one probability rule.  With W's Pauli coefficients w[m, n, p, q], the
+    trace factorizes per party: p = sum w t_A[m, n, a, x] t_B[p, q, b, y] over
+    the two :func:`party_table` arrays, which the optimizer reads too.  The
+    instruments must live on the A and B factor pairs of the all-qubit process.
     """
     w = _as_operator(process)
     names = w.label_names()
@@ -114,29 +129,10 @@ def cond_probs(
             f"process factors {names} do not match instruments "
             f"{tuple(s.name for s in expected)}"
         )
-    side_a = instrument_a.labels[0].dim * instrument_a.labels[1].dim
-    side_b = instrument_b.labels[0].dim * instrument_b.labels[1].dim
-    if side_a * side_b != w.side:
-        raise ValueError("instrument and process dimensions do not match")
-
-    xs, ys = instrument_a.inputs, instrument_b.inputs
-    outs_a = {x: instrument_a.outcomes(x) for x in xs}
-    outs_b = {y: instrument_b.outcomes(y) for y in ys}
-    n_a = max(len(v) for v in outs_a.values())
-    n_b = max(len(v) for v in outs_b.values())
-    table = np.zeros((n_a, n_b, len(xs), len(ys)))
-    for ix, x in enumerate(xs):
-        for ia, a in enumerate(outs_a[x]):
-            m_a = instrument_a.operators[(x, a)].matrix
-            for iy, y in enumerate(ys):
-                for ib, b in enumerate(outs_b[y]):
-                    m_b = instrument_b.operators[(y, b)].matrix
-                    value = np.einsum("ij,ji->", np.kron(m_a, m_b), w.matrix)
-                    if abs(value.imag) > IMAG_TOL:
-                        raise ValueError(
-                            f"p({a},{b}|{x},{y}) has imaginary residue {value.imag:.3e}"
-                        )
-                    table[ia, ib, ix, iy] = value.real
+    coeffs = pauli_coefficients(w).reshape(4, 4, 4, 4)
+    table = np.einsum(
+        "mnpq,mnax,pqby->abxy", coeffs, party_table(instrument_a), party_table(instrument_b)
+    )
     return CondProbTable(table)
 
 

@@ -470,6 +470,41 @@ class TestOptimize:
         ]
         assert all(passes >= 1 and stop == "converged" for passes, stop in centering)
 
+    def test_sep_rows_record_ascent_stop(self, capsys, tmp_path):
+        rows = {}
+        for fmt in ("json", "csv"):
+            argv = ("optimize", "sep", "--restarts", "2", "--tol", "1e-2", "--format", fmt)
+            code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / f"{fmt}.json"))
+            assert code == 0
+            rows[fmt] = json.loads(out)["restarts"] if fmt == "json" else parse_csv(out)
+        assert list(rows["csv"][0])[-2:] == ["centering_stop", "ascent_stop"]
+        for fmt in ("json", "csv"):
+            assert [r["ascent_stop"] for r in rows[fmt]] == ["converged"] * 2
+
+    def test_feix_records_eps_inert_under_gyni(self, capsys, tmp_path):
+        out_path = tmp_path / "feix.json"
+        code, out, _ = run_cli(capsys, "optimize", "feix", "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["eps_inert"] is True
+        assert "note: eps is inert" in out
+
+    def test_feix_eps_not_inert_when_bob_measures_x(self, capsys, tmp_path):
+        from procmat.instruments import instrument_to_pauli_maps
+
+        # on input 1 Bob measures B_I in the X basis, (I +- X)/2, and sends |0><0|
+        bob = instrument_to_pauli_maps(gyni_strategy("B"))
+        bob["1,0"] = {"II": 0.25, "IZ": 0.25, "XI": 0.25, "XZ": 0.25}
+        bob["1,1"] = {"II": 0.25, "IZ": 0.25, "XI": -0.25, "XZ": -0.25}
+        path = tmp_path / "instruments.json"
+        path.write_text(json.dumps({"A": instrument_to_pauli_maps(gyni_strategy("A")), "B": bob}))
+        out_path = tmp_path / "feix.json"
+        code, out, _ = run_cli(
+            capsys, "optimize", "feix", "--instruments", str(path), "--out", str(out_path)
+        )
+        assert code == 0
+        assert json.loads(out_path.read_text())["eps_inert"] is False
+        assert "note: eps is inert" not in out
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
         out_path = tmp_path / "sep.json"

@@ -271,6 +271,16 @@ class TestPauliBasis:
         with pytest.raises(LabelError, match="qubit"):
             pauli_coefficients(op)
 
+    def test_five_qubits_rejected_before_anything_is_cached(self):
+        labels = tuple(Subsystem(f"q{k}", 2) for k in range(5))
+        op = HermitianOperator(labels, np.eye(32))
+        cached = pauli_basis.cache_info().currsize, all_pauli_words.cache_info().currsize
+        with pytest.raises(ValueError, match="5 qubits"):
+            to_pauli_map(op)
+        with pytest.raises(ValueError, match="5 qubits"):
+            from_pauli_map({"IIIII": 1.0}, labels)
+        assert (pauli_basis.cache_info().currsize, all_pauli_words.cache_info().currsize) == cached
+
 
 class TestBuiltinPauliMaps:
     """Each built-in operator reads back as the literal map it is built from:

@@ -42,7 +42,7 @@ from procmat.process import (
     sep_feasibility,
     separable_from_params,
 )
-from procmat.stats import InputDist, cond_probs, entropies, joint_dist, objective
+from procmat.stats import InputDist, cond_probs, entropies, joint_dist, objective, party_table
 
 from oracles import (
     bisect_interval,
@@ -361,6 +361,10 @@ class TestCenteringRecord:
         result = multistart(OptimizerConfig(restarts=2, seed=200, sweep_tol=1e-6, max_sweeps=1))
         stops = [(r.centering_passes, r.centering_stop) for r in result.records]
         assert stops == [(1, "pass_cap")] * 2
+
+    def test_ascent_sweep_cap_recorded(self):
+        result = multistart(OptimizerConfig(restarts=2, seed=200, sweep_tol=1e-12, max_sweeps=1))
+        assert [(r.sweeps, r.ascent_stop) for r in result.records] == [(1, "max_sweeps")] * 2
 
     def test_records_equal_for_any_jobs(self):
         cfg = small_cfg(restarts=2, sweep_tol=1e-2)
@@ -709,7 +713,7 @@ class TestPartyTables:
     def test_tables_match_naive_traces(self):
         for party in ("A", "B"):
             ins = gyni_strategy(party)
-            table, _ = _Engine._party_tables(ins)
+            table = party_table(ins)
             for m, first in enumerate(PAULI_LETTERS):
                 for n, second in enumerate(PAULI_LETTERS):
                     word = word_matrix(first + second)

@@ -3,8 +3,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from procmat.instruments import gyni_strategy
-from procmat.operators import identity
+from procmat.instruments import PARTY_LABELS, Instrument, gyni_strategy
+from procmat.operators import (
+    A_OUT,
+    B_IN,
+    B_OUT,
+    HermitianOperator,
+    Subsystem,
+    identity,
+    pauli_coeff,
+)
 from procmat.process import SepParams, maximally_mixed, ocb_process, separable_from_params
 from procmat.stats import (
     _CONCAVE_OBJECTIVES,
@@ -19,7 +27,7 @@ from procmat.stats import (
 )
 
 from test_process import random_feasible_params
-from oracles import gyni_ops, naive_cond_probs, ocb_matrix, shannon_bits
+from oracles import gyni_ops, naive_cond_probs, naive_kron, ocb_matrix, shannon_bits
 
 SQRT2 = np.sqrt(2)
 
@@ -85,6 +93,70 @@ class TestCondProbs:
             np.testing.assert_allclose(
                 table.probs, naive_cond_probs(w.op.matrix, ops, ops), atol=1e-12
             )
+
+    def test_matches_naive_oracle_on_random_measure_and_prepare(self, rng):
+        processes = [ocb_process(), maximally_mixed()]
+        processes += [separable_from_params(random_feasible_params(rng)).mixture for _ in range(8)]
+        for _ in range(5):
+            ops_a, ops_b = random_measure_prepare(rng), random_measure_prepare(rng)
+            ins_a, ins_b = as_instrument("A", ops_a), as_instrument("B", ops_b)
+            # complex bases and states: the operators carry Y words
+            assert any(abs(pauli_coeff(op, "YI")) > 1e-3 for op in ins_a.operators.values())
+            for w in processes:
+                np.testing.assert_allclose(
+                    cond_probs(w, ins_a, ins_b).probs,
+                    naive_cond_probs(w.op.matrix, ops_a, ops_b),
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    def test_single_outcome_input_padded_with_zeros(self, rng):
+        # on input 0 Alice forwards her state and always reports outcome 0
+        ops_a = gyni_ops()
+        ops_a[(0, 0)], ops_a[(0, 1)] = ops_a[(0, 1)], np.zeros((4, 4), dtype=complex)
+        ins_a = as_instrument("A", {k: m for k, m in ops_a.items() if k != (0, 1)})
+        assert ins_a.outcomes(0) == (0,)
+        ops_b = random_measure_prepare(rng)
+        for w in (ocb_process(), separable_from_params(random_feasible_params(rng)).mixture):
+            table = cond_probs(w, ins_a, as_instrument("B", ops_b))
+            assert not table.probs[1, :, 0, :].any()
+            np.testing.assert_allclose(
+                table.probs, naive_cond_probs(w.op.matrix, ops_a, ops_b), rtol=0, atol=1e-12
+            )
+
+    def test_omitted_zero_operator_changes_nothing(self, strategy, ocb_table):
+        # input 0's outcome 0 is the zero operator; without it outcome 1 keeps its row
+        ins_a, ins_b = (
+            Instrument(ins.party, {k: op for k, op in ins.operators.items() if k != (0, 0)})
+            for ins in strategy
+        )
+        assert ins_a.outcomes(0) == (1,)
+        table = cond_probs(ocb_process(), ins_a, ins_b)
+        np.testing.assert_array_equal(table.probs, ocb_table.probs)
+        assert game_success(table) == P_SUCC_OCB
+
+    def test_qutrit_factor_with_canonical_names_rejected(self, strategy):
+        labels = (Subsystem("A_I", 3), A_OUT, B_IN, B_OUT)
+        with pytest.raises(ValueError, match="qubit"):
+            cond_probs(HermitianOperator(labels, np.eye(24) / 6), *strategy)
+
+
+def random_measure_prepare(rng):
+    """Raw Choi matrices keyed (x, a): on each input a projective measurement
+    in a random complex basis, and per outcome a random complex state sent."""
+    ops = {}
+    for x in (0, 1):
+        basis, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        for a in (0, 1):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            state = g @ g.conj().T
+            choi = naive_kron(np.outer(basis[:, a], basis[:, a].conj()), state / np.trace(state))
+            ops[(x, a)] = (choi + choi.conj().T) / 2
+    return ops
+
+
+def as_instrument(party, ops):
+    return Instrument(party, {k: HermitianOperator(PARTY_LABELS[party], m) for k, m in ops.items()})
 
 
 class TestJointDist:
