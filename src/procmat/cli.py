@@ -17,6 +17,7 @@ output filenames.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -367,10 +368,8 @@ def cmd_optimize(args) -> int:
         verdict = (
             "inequality satisfied" if reference > best_value else "inequality not satisfied"
         )
-        fields = (
-            "restart", "seed", "value", "sweeps", "centering_passes", "centering_stop",
-            "ascent_stop",
-        )
+        # one row per restart, its fields in ``RestartRecord`` order
+        restarts = [dataclasses.asdict(r) for r in result.records]
         doc = {
             "manifest": _manifest("optimize", config_echo, started, seed=cfg.seed),
             "best_value": best_value,
@@ -378,9 +377,9 @@ def cmd_optimize(args) -> int:
             "reference": {"process": "ocb", "objective": cfg.objective, "value": reference},
             "verdict": verdict,
             "best_params": result.best_params.to_flat_map(),
-            "restarts": [{f: getattr(r, f) for f in fields} for r in result.records],
+            "restarts": restarts,
         }
-        csv_header = ",".join(fields)
+        csv_header = ",".join(restarts[0])
         csv_rows = (r.values() for r in doc["restarts"])
         trailer = [f"best_value: {best_value!r}  reference: {reference!r}  verdict: {verdict}"]
         if args.trace:

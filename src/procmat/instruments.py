@@ -29,10 +29,7 @@ from .operators import (
     partial_trace,
     to_pauli_map,
 )
-from .validation import CheckResult, ValidityReport
-
-PSD_TOL = 1e-10
-TP_TOL = 1e-10
+from .validation import VALIDITY_TOL, CheckResult, ValidityReport
 
 PARTY_LABELS: dict[str, tuple[Subsystem, Subsystem]] = {
     "A": (A_IN, A_OUT),
@@ -136,10 +133,9 @@ def gyni_strategy(party: str) -> Instrument:
     return instrument_from_pauli_maps(_GYNI_MAPS, party)
 
 
-def validate_instrument(
-    ins: Instrument, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL
-) -> ValidityReport:
-    """Check positivity of every operator and trace preservation per input.
+def validate_instrument(ins: Instrument) -> ValidityReport:
+    """Check positivity of every operator and trace preservation per input,
+    both against ``VALIDITY_TOL``.
 
     Invalid instruments yield failing reports, not exceptions.  Residuals are
     the most-negative eigenvalue (sign flipped) and the max deviation of the
@@ -152,12 +148,12 @@ def validate_instrument(
         for a in ins.outcomes(x):
             op = ins.operators[(x, a)]
             checks.append(
-                CheckResult(f"M[a={a}|x={x}] >= 0", -min_eigenvalue(op), psd_tol)
+                CheckResult(f"M[a={a}|x={x}] >= 0", -min_eigenvalue(op), VALIDITY_TOL)
             )
             total = op if total is None else total + op
         reduced = partial_trace(total, [out_label])
         dev = np.abs(reduced.matrix - np.eye(reduced.side)).max()
-        checks.append(CheckResult(f"sum_a M[a|x={x}] trace-preserving", float(dev), tp_tol))
+        checks.append(CheckResult(f"sum_a M[a|x={x}] trace-preserving", float(dev), VALIDITY_TOL))
     return ValidityReport(tuple(checks))
 
 

@@ -40,11 +40,11 @@ test on the plane (grid, eps bound, q interval) is a few flops, with no
 eigensolve.  The 101 x 101 grid is one vectorized evaluation of that formula
 and one ``stats.objective`` call on the stacked joints of its feasible points.
 
-The coordinate layout (q, then the 36 + 36 block coefficients), each
-coordinate's name, block and Pauli word come from ``process.COORDINATES``;
-the objectives are ``stats.objective``; the joint maps are built from
-``stats.party_table``, the per-party tables of the one probability rule
-``stats.cond_probs``.
+A coordinate's one address is its index k in ``process.COORDINATES`` (q, then
+the 36 + 36 block coefficients): the search point ``SepParams.vector``, the
+word stack ``_WORDS`` and the joint increments ``_Engine.rows`` are indexed
+by k.  The objectives are ``stats.objective``; the joint maps are built from
+``stats.party_table``, the tables of the one probability rule ``cond_probs``.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ from .process import (
     FEIX_WORD_BA,
     FEIX_WORDS_AB,
     SEP_BLOCKS,
-    SEP_WORDS_AB,
-    SEP_WORDS_BA,
     FeixParams,
     InfeasibleParamsError,
     SepParams,
     _require_feasible,
 )
 from .stats import _CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective, party_table
+from .validation import VALIDITY_TOL
 
 GENERATOR_NAME = "numpy PCG64 (default_rng)"
 
@@ -105,31 +104,28 @@ def coord_name(coord: int) -> str:
     return COORDINATES[coord].name
 
 
-#: the two fixed-order blocks, in the order of ``_State.coeffs``
+#: the two fixed-order blocks, in the order of ``_State.coeffs``, and the
+#: contiguous span of coordinate indices that holds each block's coefficients
 _BLOCKS = tuple(name for name, _ in SEP_BLOCKS)
-# each block is searched on the three factors it does not hold at the identity
-_BLOCK_WORDS = tuple(
-    np.stack([pauli_matrix(w[:at] + w[at + 1 :]) for w in words])
-    for words, (_, at) in zip((SEP_WORDS_AB, SEP_WORDS_BA), SEP_BLOCKS)
+_SPANS = tuple(
+    slice(ks[0], ks[-1] + 1)
+    for ks in ([k for k, coord in enumerate(COORDINATES) if coord.block == b] for b in _BLOCKS)
 )
 
 
-def _slot_table() -> tuple[tuple[int | None, int], ...]:
-    """(block, position) of each coordinate: the index into ``_BLOCKS`` and
-    the coordinate's place in that block's coefficient vector; q has block
-    None."""
-    filled = dict.fromkeys(_BLOCKS, 0)
-    slots = []
-    for coord in COORDINATES:
-        if coord.block is None:
-            slots.append((None, 0))
-        else:
-            slots.append((_BLOCKS.index(coord.block), filled[coord.block]))
-            filled[coord.block] += 1
-    return tuple(slots)
+def _block_of(coord: int) -> int:
+    """Index into ``_BLOCKS`` of a block coordinate."""
+    return _BLOCKS.index(COORDINATES[coord].block)
 
 
-_SLOTS = _slot_table()
+_AT = dict(SEP_BLOCKS)  # each block's identity factor
+#: ``_WORDS[k]`` is coordinate k's 8 x 8 Pauli word on the three factors its
+#: block does not hold at the identity (zero for q); ``_BLOCK_WORDS`` holds
+#: each block's span of it
+_WORDS = np.stack([np.zeros((8, 8), dtype=complex)] + [
+    pauli_matrix(c.word[: _AT[c.block]] + c.word[_AT[c.block] + 1 :]) for c in COORDINATES[1:]
+])
+_BLOCK_WORDS = tuple(_WORDS[span] for span in _SPANS)
 _EYE8 = np.eye(8, dtype=complex)
 
 
@@ -156,7 +152,7 @@ class OptimizerConfig:
     sweep_tol: float = 1e-6
     max_sweeps: int = 500
     line_tol: float = 1e-7
-    psd_tol: float = 1e-10
+    psd_tol: float = VALIDITY_TOL
     seed: int = DEFAULT_SEED
     objective: str = "H_AB"
     instrument_a: Instrument = field(default_factory=lambda: gyni_strategy("A"))
@@ -192,14 +188,17 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One restart: its value and ascent sweeps, how centering ended
-    (``centering_stop`` is ``converged`` or ``pass_cap``) and how the ascent
-    ended (``ascent_stop`` is ``converged`` or ``max_sweeps``)."""
+    """One restart: its value and ascent sweeps, the final smallest
+    eigenvalue of each block, how centering ended (``centering_stop`` is
+    ``converged`` or ``pass_cap``) and how the ascent ended (``ascent_stop``
+    is ``converged`` or ``max_sweeps``)."""
 
     restart: int
     seed: int
     value: float
     sweeps: int
+    min_eig_ab: float
+    min_eig_ba: float
     centering_passes: int
     centering_stop: str
     ascent_stop: str
@@ -220,8 +219,9 @@ class _Engine:
     For product words the trace in the probability rule factorizes per party:
     the rule is ``stats.cond_probs``, and its per-party factors are the
     ``stats.party_table`` arrays read here.  So each of the 72 coefficients
-    contributes a fixed per-unit increment to the joint table; evaluating the
-    objective at a parameter point is then two 36-element dot products.
+    contributes a fixed per-unit increment to the joint table, ``rows[k]``
+    for coordinate k (row 0, for q, is zero); evaluating the objective at a
+    parameter point is then two 36-element dot products.
     """
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
@@ -233,26 +233,21 @@ class _Engine:
             raise ValueError("input distribution shape does not match instrument inputs")
         # fold the input distribution: u_a[m,n,a] paired with u_b[m,n,b]
         # gives the joint contribution of the product word (m,n) (x) (m',n')
-        self._wa = np.einsum("mnax,xy->mnay", t_a, p_xy)
-        self._tb = t_b
-        base = np.einsum("ay,by->ab", self._wa[0, 0], t_b[0, 0]) / 4.0
+        wa = np.einsum("mnax,xy->mnay", t_a, p_xy)
+        base = np.einsum("ay,by->ab", wa[0, 0], t_b[0, 0]) / 4.0
         self.base_joint = base
-        # one joint increment row per block coefficient, blocks as in _BLOCKS
-        self.incs = (self.increments(SEP_WORDS_AB), self.increments(SEP_WORDS_BA))
+        idx = np.array([[PAULI_LETTERS.index(ch) for ch in c.word] for c in COORDINATES[1:]]).T
+        rows = np.einsum("kay,kby->kab", wa[idx[0], idx[1]], t_b[idx[2], idx[3]])
+        self.rows = np.vstack([np.zeros(base.size), rows.reshape(N_COORDS - 1, -1)])
+        # each block's increment rows: its span of rows, blocks as in _BLOCKS
+        self.incs = tuple(self.rows[span] for span in _SPANS)
         self._base_flat = base.reshape(-1)
-
-    def increments(self, words: Sequence[str]) -> np.ndarray:
-        """Joint increments of 4-letter product words, one flat row per word."""
-        idx = np.array([[PAULI_LETTERS.index(ch) for ch in w] for w in words]).T
-        rows = np.einsum("kay,kby->kab", self._wa[idx[0], idx[1]], self._tb[idx[2], idx[3]])
-        return rows.reshape(len(words), -1)
 
     def is_flat(self, coord: int, q: float) -> bool:
         """Whether moving block coordinate ``coord`` leaves the joint
         distribution unchanged: its increment row is zero, or its block's
         weight (q for the first block, 1 - q for the second) is 0."""
-        block, idx = _SLOTS[coord]
-        return (q, 1.0 - q)[block] == 0.0 or not self.incs[block][idx].any()
+        return (q, 1.0 - q)[_block_of(coord)] == 0.0 or not self.rows[coord].any()
 
     def joint(self, state: _State) -> np.ndarray:
         """The joint (a, b) distribution at a search point."""
@@ -264,41 +259,36 @@ class _Engine:
         """Derivative of the joint in one coordinate at a search point:
         c inc_a - c' inc_b for q, the block's weight times the increment row
         for a block coefficient."""
-        block, idx = _SLOTS[coord]
-        if block is None:
+        if coord == 0:
             (c, cp), (inc_a, inc_b) = state.coeffs, self.incs
             flat = c @ inc_a - cp @ inc_b
         else:
-            flat = (state.q, 1.0 - state.q)[block] * self.incs[block][idx]
+            flat = (state.q, 1.0 - state.q)[_block_of(coord)] * self.rows[coord]
         return flat.reshape(self.n_a, self.n_b)
 
 
 class _State:
-    """Mutable unpacked parameters used inside one ascent run."""
+    """Mutable search point: the vector ``x`` of ``SepParams.vector``, and
+    ``coeffs``, each block's span of it (views)."""
 
-    __slots__ = ("q", "coeffs")
+    __slots__ = ("x", "coeffs")
 
     def __init__(self, params: SepParams):
-        self.q = float(params.q)
-        # the flat coefficient vectors of the blocks in _BLOCKS
-        self.coeffs = (params.c.ravel().copy(), params.c_prime.ravel().copy())
+        self.x = params.vector()
+        self.coeffs = tuple(self.x[span] for span in _SPANS)
+
+    @property
+    def q(self) -> float:
+        return float(self.x[0])
 
     def to_params(self) -> SepParams:
-        c, cp = self.coeffs
-        return SepParams(self.q, c.reshape(4, 3, 3), cp.reshape(3, 4, 3))
+        return SepParams.from_vector(self.x)
 
     def get(self, coord: int) -> float:
-        block, idx = _SLOTS[coord]
-        if block is None:
-            return self.q
-        return float(self.coeffs[block][idx])
+        return float(self.x[coord])
 
     def set(self, coord: int, value: float):
-        block, idx = _SLOTS[coord]
-        if block is None:
-            self.q = float(value)
-        else:
-            self.coeffs[block][idx] = value
+        self.x[coord] = value
 
     def min_eigs(self) -> tuple[float, float]:
         """Smallest eigenvalues of the two fixed-order blocks."""
@@ -309,9 +299,8 @@ class _State:
 def _coord_line(state: _State, coord: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(block matrix at the incumbent, the coordinate's Pauli word, incumbent
     value) of a block coordinate: the block along the line is A + (t - t0) P."""
-    block, idx = _SLOTS[coord]
-    coeffs, words = state.coeffs[block], _BLOCK_WORDS[block]
-    return _block_matrix(coeffs, words), words[idx], float(coeffs[idx])
+    block = _block_of(coord)
+    return _block_matrix(state.coeffs[block], _BLOCK_WORDS[block]), _WORDS[coord], state.get(coord)
 
 
 def _line_interval(
@@ -407,7 +396,7 @@ def _line_fn(
 
 def random_feasible_init(
     seed: int,
-    psd_tol: float = 1e-10,
+    psd_tol: float = VALIDITY_TOL,
     coords: Sequence[int] = range(N_COORDS),
     base: SepParams | None = None,
 ) -> SepParams:
@@ -423,19 +412,18 @@ def random_feasible_init(
     _require_feasible(*state.min_eigs(), psd_tol)
     rng = np.random.default_rng(seed)
     if 0 in coords:
-        state.q = float(rng.uniform())
+        state.set(0, rng.uniform())
     coeff_coords = [k for k in coords if k != 0]
     draws = rng.normal(scale=_INIT_SCALE, size=len(coeff_coords))
     while True:
-        for k, value in zip(coeff_coords, draws):
-            state.set(k, value)
+        state.x[coeff_coords] = draws
         if min(state.min_eigs()) >= -psd_tol:
             return state.to_params()
         draws = draws * 0.5
 
 
 def feasible_interval(
-    params: SepParams, coord: int, psd_tol: float = 1e-10
+    params: SepParams, coord: int, psd_tol: float = VALIDITY_TOL
 ) -> tuple[float, float]:
     """The closed interval of values of one coordinate keeping the search
     point feasible (its block PSD; q confined to [0, 1]).
@@ -574,7 +562,7 @@ def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig) -> tu
     """
     coords = [k for k in cfg.active_coords() if k != 0 and engine.is_flat(k, state.q)]
     carried = {}
-    for block in dict.fromkeys(_SLOTS[k][0] for k in coords):
+    for block in dict.fromkeys(map(_block_of, coords)):
         matrix = _block_matrix(state.coeffs[block], _BLOCK_WORDS[block])
         eig = np.linalg.eigh(matrix)
         if eig[0][0] < -cfg.psd_tol:
@@ -583,11 +571,9 @@ def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig) -> tu
     for passes in range(1, _CENTERING_MAX_PASSES + 1):
         moved = 0.0
         for coord in coords:
-            block, idx = _SLOTS[coord]
+            block = _block_of(coord)
             matrix, eig = carried[block]
-            s, lam, lam0, probed, probe = _slack_max(
-                matrix, _BLOCK_WORDS[block][idx], cfg.line_tol, eig
-            )
+            s, lam, lam0, probed, probe = _slack_max(matrix, _WORDS[coord], cfg.line_tol, eig)
             if lam > lam0:
                 moved = max(moved, abs(s))
                 state.set(coord, state.get(coord) + s)
@@ -599,10 +585,12 @@ def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig) -> tu
 
 def _ascend(
     init: SepParams, cfg: OptimizerConfig
-) -> tuple[SepParams, float, int, tuple[float, ...], tuple[int, str, str]]:
-    """(params, value, sweeps, trace, (centering passes, centering stop,
-    ascent stop)); the ascent stops ``converged`` after a sweep that moves
-    no coordinate by ``sweep_tol`` or more, else at ``max_sweeps``."""
+) -> tuple[SepParams, float, tuple[float, ...], tuple]:
+    """(params, value, trace, the ``RestartRecord`` fields after value:
+    sweeps, the final smallest eigenvalue of each block, centering passes,
+    centering stop and ascent stop); the ascent stops ``converged`` after a
+    sweep that moves no coordinate by ``sweep_tol`` or more, else at
+    ``max_sweeps``."""
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
     value = partial(objective, cfg.objective)
     state = _State(init)
@@ -631,7 +619,7 @@ def _ascend(
         if delta < cfg.sweep_tol:
             stop = "converged"
             break
-    return state.to_params(), current, sweeps, tuple(trace), (*centering, stop)
+    return state.to_params(), current, tuple(trace), (sweeps, *state.min_eigs(), *centering, stop)
 
 
 def coordinate_ascent(
@@ -644,7 +632,7 @@ def coordinate_ascent(
     largest parameter change in a sweep falls below ``sweep_tol`` or after
     ``max_sweeps`` sweeps.  Returns (final params, final value, sweeps used).
     """
-    params, value, sweeps, _, _ = _ascend(init, cfg or OptimizerConfig())
+    params, value, _, (sweeps, *_) = _ascend(init, cfg or OptimizerConfig())
     return params, value, sweeps
 
 
@@ -652,8 +640,8 @@ def _run_restart(args) -> tuple[RestartRecord, SepParams, tuple[float, ...] | No
     cfg, restart = args
     seed = cfg.seed + restart
     init = random_feasible_init(seed, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
-    params, value, sweeps, trace, stops = _ascend(init, cfg)
-    record = RestartRecord(restart, seed, value, sweeps, *stops)
+    params, value, trace, fields = _ascend(init, cfg)
+    record = RestartRecord(restart, seed, value, *fields)
     return record, params, trace if cfg.record_trace else None
 
 
@@ -721,9 +709,11 @@ class _FeixEngine:
         )
         engine = _Engine(instrument_a, instrument_b, inputs)
         self._base = engine.base_joint
-        shape = (-1, *self._base.shape)
-        self._inc_sym = sum(engine.increments(FEIX_WORDS_AB).reshape(shape)) / 12.0
-        self._inc_ba = engine.increments([FEIX_WORD_BA]).reshape(shape)[0] / 4.0
+        # the Feix words are separable coordinates: c_0xx, c_0yy, c_0zz and cp_zxz
+        rows = engine.rows.reshape(-1, *self._base.shape)
+        words = [coord.word for coord in COORDINATES]
+        self._inc_sym = sum(rows[words.index(w)] for w in FEIX_WORDS_AB) / 12.0
+        self._inc_ba = rows[words.index(FEIX_WORD_BA)] / 4.0
 
     def joint(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
         """The joint (a, b) distribution, or a stack of them indexed by the
@@ -833,8 +823,9 @@ def separable_floor(cfg: OptimizerConfig | None = None) -> float:
 
 def feix_eps_inert(cfg: OptimizerConfig | None = None) -> bool:
     """Whether eps leaves the Feix plane's joint distribution unchanged: the
-    joint increment of its B<A word ZIXZ is exactly zero, as under the
-    built-in instruments with uniform inputs.  Then no point of the plane
-    beats its eps = 0 edge."""
+    joint increment of its B<A word ZIXZ is exactly zero.  Under the
+    built-in instruments that holds for every input distribution, since
+    Bob's operators have no X (x) Z term on (B_I, B_O).  Then no point of
+    the plane beats its eps = 0 edge."""
     cfg = cfg or OptimizerConfig()
     return not _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)._inc_ba.any()

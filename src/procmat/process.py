@@ -32,10 +32,7 @@ from .operators import (
     min_eigenvalue,
     trace_replace,
 )
-from .validation import CheckResult, ValidityReport
-
-VALIDITY_TOL = 1e-10
-PSD_TOL = 1e-10
+from .validation import VALIDITY_TOL, CheckResult, ValidityReport
 
 #: axis letters for the separable-family coefficient tables
 AXIS_FULL = "0xyz"
@@ -81,13 +78,14 @@ def _require_canonical(op: HermitianOperator):
         )
 
 
-def validate_process(op: HermitianOperator, tol: float = VALIDITY_TOL) -> ValidityReport:
-    """Run the five validity checks and report residuals.
+def validate_process(op: HermitianOperator) -> ValidityReport:
+    """Run the five validity checks and report residuals, judged at ``VALIDITY_TOL``.
 
     Equality residuals are max-abs deviations; the positivity residual is the
     most-negative eigenvalue with its sign flipped.
     """
     _require_canonical(op)
+    tol = VALIDITY_TOL
     d_out = A_OUT.dim * B_OUT.dim
     checks = [
         CheckResult("positive semidefinite", -min_eigenvalue(op), tol),
@@ -118,9 +116,9 @@ def validate_process(op: HermitianOperator, tol: float = VALIDITY_TOL) -> Validi
     return ValidityReport(tuple(checks))
 
 
-def as_process(op: HermitianOperator, tol: float = VALIDITY_TOL) -> ProcessMatrix:
+def as_process(op: HermitianOperator) -> ProcessMatrix:
     """Wrap an operator with its validity report (invalid ones are not rejected)."""
-    return ProcessMatrix(op, validate_process(op, tol))
+    return ProcessMatrix(op, validate_process(op))
 
 
 def nonsignalling_part(op: HermitianOperator) -> HermitianOperator:
@@ -230,10 +228,23 @@ class SepParams:
     def zeros(cls, q: float = 0.5) -> "SepParams":
         return cls(q, np.zeros((4, 3, 3)), np.zeros((3, 4, 3)))
 
+    def vector(self) -> np.ndarray:
+        """The 73 coordinates, indexed as ``COORDINATES``: q, then ``c`` and
+        ``c_prime`` raveled, each block one contiguous span."""
+        return np.concatenate(([self.q], self.c.ravel(), self.c_prime.ravel()))
+
+    @classmethod
+    def from_vector(cls, x: np.ndarray) -> "SepParams":
+        """Inverse of :func:`vector`."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (len(COORDINATES),):
+            raise ValueError(f"expected {len(COORDINATES)} coordinates, got shape {x.shape}")
+        c, c_prime = np.split(x[1:], 2)
+        return cls(x[0], c.reshape(4, 3, 3), c_prime.reshape(3, 4, 3))
+
     def to_flat_map(self) -> dict[str, float]:
         """Flat keyed form: q plus keys like ``c_0xz`` and ``cp_x0y``."""
-        values = [self.q, *self.c.ravel().tolist(), *self.c_prime.ravel().tolist()]
-        return {coord.name: value for coord, value in zip(COORDINATES, values)}
+        return {coord.name: value for coord, value in zip(COORDINATES, self.vector().tolist())}
 
     @classmethod
     def from_flat_map(cls, data: Mapping[str, float]) -> "SepParams":
@@ -249,8 +260,7 @@ class SepParams:
             if key not in _COORD_INDEX:
                 raise ValueError(f"bad parameter key {key!r}")
             values[_COORD_INDEX[key]] = value
-        c, c_prime = np.split(values[1:], 2)
-        return cls(values[0], c.reshape(4, 3, 3), c_prime.reshape(3, 4, 3))
+        return cls.from_vector(values)
 
 
 def _block_operator(words: tuple[str, ...], coeffs: np.ndarray) -> HermitianOperator:
@@ -290,7 +300,7 @@ class SeparableTriple:
     mixture: ProcessMatrix
 
 
-def separable_from_params(p: SepParams, psd_tol: float = PSD_TOL) -> SeparableTriple:
+def separable_from_params(p: SepParams, psd_tol: float = VALIDITY_TOL) -> SeparableTriple:
     """Build W^{A<B}, W^{B<A}, and their q-mixture; reject infeasible params.
 
     Rejection names the offending block and its most-negative eigenvalue.

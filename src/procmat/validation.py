@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: the one validity tolerance: process and instrument checks, the separable
+#: family's block positivity and the optimizer's default ``psd_tol``
+VALIDITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CheckResult:

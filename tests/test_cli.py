@@ -481,6 +481,19 @@ class TestOptimize:
         for fmt in ("json", "csv"):
             assert [r["ascent_stop"] for r in rows[fmt]] == ["converged"] * 2
 
+    def test_sep_rows_record_final_block_slack(self, capsys, tmp_path):
+        rows = {}
+        for fmt in ("json", "csv"):
+            argv = ("optimize", "sep", "--restarts", "2", "--tol", "1e-2", "--format", fmt)
+            code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / f"{fmt}.json"))
+            assert code == 0
+            rows[fmt] = json.loads(out)["restarts"] if fmt == "json" else parse_csv(out)
+        assert list(rows["csv"][0])[3:6] == ["sweeps", "min_eig_ab", "min_eig_ba"]
+        assert list(rows["json"][0]) == list(rows["csv"][0])
+        for key in ("min_eig_ab", "min_eig_ba"):
+            assert [float(r[key]) for r in rows["csv"]] == [r[key] for r in rows["json"]]
+            assert all(r[key] >= -1e-10 for r in rows["json"])
+
     def test_feix_records_eps_inert_under_gyni(self, capsys, tmp_path):
         out_path = tmp_path / "feix.json"
         code, out, _ = run_cli(capsys, "optimize", "feix", "--out", str(out_path))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import procmat.optimizer as optimizer
-from procmat.instruments import gyni_strategy
-from procmat.operators import CANONICAL_LABELS, PAULI_LETTERS
+from procmat.instruments import gyni_strategy, instrument_from_pauli_maps, instrument_to_pauli_maps
+from procmat.operators import CANONICAL_LABELS, PAULI_LETTERS, from_pauli_map
 from procmat.optimizer import (
     N_COORDS,
     OBJECTIVES,
@@ -24,12 +24,14 @@ from procmat.optimizer import (
     coord_name,
     coordinate_ascent,
     feasible_interval,
+    feix_eps_inert,
     feix_maximize,
     line_maximize,
     multistart,
     random_feasible_init,
 )
 from procmat.process import (
+    COORDINATES,
     SEP_BLOCKS,
     SEP_WORDS_AB,
     SEP_WORDS_BA,
@@ -808,3 +810,103 @@ class TestSeededResults:
             (r.value, r.sweeps) for r in default.records
         ]
         assert explicit.best_params.to_flat_map() == default.best_params.to_flat_map()
+
+
+class TestCoordinateAddress:
+    """A separable coordinate has one address, its index k in
+    ``COORDINATES``: the search point, the word stack and the joint increment
+    table are indexed by k, and each block is a contiguous span of them."""
+
+    def test_vector_round_trip_in_coordinate_order(self, rng):
+        p = SepParams(0.3, rng.normal(size=(4, 3, 3)), rng.normal(size=(3, 4, 3)))
+        x = p.vector()
+        assert x.shape == (N_COORDS,)
+        assert list(p.to_flat_map().values()) == x.tolist()
+        back = SepParams.from_vector(x)
+        assert back.vector().tobytes() == x.tobytes()
+        with pytest.raises(ValueError, match="expected 73 coordinates"):
+            SepParams.from_vector(x[1:])
+
+    def test_state_blocks_are_spans_of_the_vector(self):
+        state = _State(random_feasible_init(4))
+        for b, name in enumerate(optimizer._BLOCKS):
+            ks = [k for k, coord in enumerate(COORDINATES) if coord.block == name]
+            assert np.shares_memory(state.coeffs[b], state.x)
+            np.testing.assert_array_equal(state.coeffs[b], state.x[ks])
+        state.set(COORD_CP_Z0X, 0.01)
+        assert state.coeffs[1][COORD_CP_Z0X - 37] == 0.01
+
+    def test_words_and_rows_are_indexed_by_coordinate(self, rng):
+        draw = rng.dirichlet(np.ones(4)).reshape(2, 2)
+        engine = _Engine(gyni_strategy("A"), gyni_strategy("B"), InputDist(draw))
+        assert not optimizer._WORDS[0].any() and not engine.rows[0].any()
+        for b in range(len(SEP_BLOCKS)):
+            assert np.shares_memory(optimizer._BLOCK_WORDS[b], optimizer._WORDS)
+            assert np.shares_memory(engine.incs[b], engine.rows)
+        for k in (1, COORD_C_0ZZ, 36, 37, COORD_CP_Z0X, 72):
+            word = COORDINATES[k].word
+            at = dict(SEP_BLOCKS)[COORDINATES[k].block]
+            assert np.array_equal(optimizer._WORDS[k], word_matrix(word[:at] + word[at + 1 :]))
+            # the joint increment of the word, through the probability rule at
+            # the PSD point I/4 + P/8
+            process = from_pauli_map({"IIII": 0.25, word: 0.125})
+            table = cond_probs(process, gyni_strategy("A"), gyni_strategy("B"))
+            increment = 8.0 * (joint_dist(table, InputDist(draw)) - engine.base_joint)
+            np.testing.assert_allclose(engine.rows[k], increment.ravel(), rtol=0, atol=1e-14)
+
+
+def _bob_measuring_x():
+    # on input 1 Bob measures B_I in the X basis, (I +- X)/2, and sends |0><0|
+    bob = instrument_to_pauli_maps(gyni_strategy("B"))
+    bob["1,0"] = {"II": 0.25, "IZ": 0.25, "XI": 0.25, "XZ": 0.25}
+    bob["1,1"] = {"II": 0.25, "IZ": 0.25, "XI": -0.25, "XZ": -0.25}
+    return instrument_from_pauli_maps(bob, "B")
+
+
+class TestFeixEpsInert:
+    def test_gyni_bob_has_no_x_z_term(self):
+        x, z = PAULI_LETTERS.index("X"), PAULI_LETTERS.index("Z")
+        assert not party_table(gyni_strategy("B"))[x, z].any()
+
+    def test_inert_under_gyni_for_any_inputs(self):
+        draws = np.random.default_rng(5).dirichlet(np.full(4, 0.5), size=20)
+        probs = [np.array(SEEDED["feix_dirichlet"]["inputs"]), *draws.reshape(20, 2, 2)]
+        for p_xy in probs:
+            assert feix_eps_inert(OptimizerConfig(inputs=InputDist(p_xy)))
+
+
+class TestFeixPlaneRows:
+    """The plane's joint, read from ``_Engine.rows``, against the process
+    route, with a Bob for whom the ZIXZ row is not zero."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+    def test_plane_joint_equals_process_route(self, kind):
+        rng = np.random.default_rng(21)
+        inputs = InputDist.uniform()
+        if kind == "dirichlet":
+            inputs = InputDist(rng.dirichlet(np.ones(4)).reshape(2, 2))
+        alice, bob = gyni_strategy("A"), _bob_measuring_x()
+        engine = _FeixEngine(alice, bob, inputs)
+        assert engine._inc_ba.any()
+        for _ in range(20):
+            q = rng.uniform()
+            eps = rng.uniform(0.0, engine.eps_bound(q, 1e-10))
+            table = cond_probs(feix_process(FeixParams(q, eps)), alice, bob)
+            np.testing.assert_allclose(
+                engine.joint(q, eps), joint_dist(table, inputs), rtol=0, atol=1e-14
+            )
+
+
+class TestFinalBlockSlack:
+    """Each restart records the final smallest eigenvalue of each block (the
+    records, these fields included, are equal for any jobs: see
+    ``TestCenteringRecord.test_records_equal_for_any_jobs``)."""
+
+    def test_best_restart_slack_matches_its_params(self):
+        cfg = OptimizerConfig(restarts=3, seed=41, sweep_tol=1e-2)
+        result = multistart(cfg)
+        best = result.records[result.best_restart]
+        pair = sep_feasibility(result.best_params)
+        assert (best.min_eig_ab, best.min_eig_ba) == pytest.approx(pair, rel=0, abs=1e-14)
+        for record in result.records:
+            assert min(record.min_eig_ab, record.min_eig_ba) >= -cfg.psd_tol

@@ -1,6 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import procmat.instruments as instruments
+import procmat.process as process
+from procmat.instruments import gyni_strategy, validate_instrument
 from procmat.operators import (
     CANONICAL_LABELS,
     identity,
@@ -29,6 +34,8 @@ from procmat.process import (
     separable_from_params,
     validate_process,
 )
+from procmat.optimizer import OptimizerConfig, feasible_interval, random_feasible_init
+from procmat.validation import VALIDITY_TOL
 
 from oracles import block_matrix
 
@@ -294,3 +301,19 @@ class TestFeixFamily:
             FeixParams(0.5, bad)
         with pytest.raises(ValueError, match="q"):
             FeixParams(np.nan, 0.0)
+
+
+class TestOneValidityTolerance:
+    """The validity tolerance is stated once, as ``validation.VALIDITY_TOL``."""
+
+    def test_every_check_is_judged_at_the_one_tolerance(self):
+        reports = [ocb_process().report, validate_instrument(gyni_strategy("A"))]
+        assert {check.tolerance for report in reports for check in report.checks} == {VALIDITY_TOL}
+        # process and instruments read the constant and keep no copy of their own
+        assert process.VALIDITY_TOL is VALIDITY_TOL and not hasattr(process, "PSD_TOL")
+        assert not hasattr(instruments, "PSD_TOL") and not hasattr(instruments, "TP_TOL")
+
+    def test_psd_tol_defaults_read_the_one_tolerance(self):
+        for fn in (separable_from_params, random_feasible_init, feasible_interval):
+            assert inspect.signature(fn).parameters["psd_tol"].default is VALIDITY_TOL
+        assert OptimizerConfig().psd_tol is VALIDITY_TOL
