@@ -32,7 +32,9 @@ joint, j0 + (t - t0) d, with no parameter update per evaluation.
 
 Restarts are independent: restart i draws its start from a generator seeded
 with seed + i, so results are reproducible and independent of execution
-order.  The generator is numpy's default PCG64.
+order.  The generator is numpy's default PCG64.  Each restart's
+``RestartRecord`` counts the ascent's ranked line maximizations
+(``line_searches``) and objective evaluations (``objective_evals``).
 
 The Feix plane is I/4 + q M_sym + (1 - q + eps) M_ba, and its smallest
 eigenvalue has a closed form (derived in ``_FeixEngine``): every feasibility
@@ -41,10 +43,12 @@ eigensolve.  The 101 x 101 grid is one vectorized evaluation of that formula
 and one ``stats.objective`` call on the stacked joints of its feasible points.
 
 A coordinate's one address is its index k in ``process.COORDINATES`` (q, then
-the 36 + 36 block coefficients): the search point ``SepParams.vector``, the
-word stack ``_WORDS`` and the joint increments ``_Engine.rows`` are indexed
-by k.  The objectives are ``stats.objective``; the joint maps are built from
-``stats.party_table``, the tables of the one probability rule ``cond_probs``.
+the 36 + 36 block coefficients): the search point is the vector x of
+``SepParams.vector`` and the joint increments ``_Engine.rows`` are indexed by
+k.  The blocks are stated once, as the pencil ``process.BLOCK_SPANS``,
+``BLOCK_WORDS`` and ``block_matrix``, which every block eigenvalue here
+reads.  The objectives are ``stats.objective``; the joint maps are
+built from ``stats.party_table``, the tables of the one probability rule.
 """
 
 from __future__ import annotations
@@ -58,8 +62,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instruments import Instrument, gyni_strategy
-from .operators import PAULI_LETTERS, pauli_matrix
+from .operators import PAULI_LETTERS
 from .process import (
+    BLOCK_SPANS,
+    BLOCK_WORDS,
     COORDINATES,
     FEIX_WORD_BA,
     FEIX_WORDS_AB,
@@ -67,10 +73,12 @@ from .process import (
     FeixParams,
     InfeasibleParamsError,
     SepParams,
-    _require_feasible,
+    block_matrix,
+    block_min_eigs,
+    require_feasible,
 )
-from .stats import _CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective, party_table
-from .validation import VALIDITY_TOL
+from .stats import CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective, party_table
+from .validation import VALIDITY_TOL, require_positive_finite
 
 GENERATOR_NAME = "numpy PCG64 (default_rng)"
 
@@ -97,44 +105,20 @@ _CENTERING_MAX_PASSES = 50
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def coord_name(coord: int) -> str:
-    """Human name of a coordinate: ``q``, ``c_0xy``, ``cp_z0x``, ..."""
+def _require_coord(coord: int):
     if not 0 <= coord < N_COORDS:
         raise ValueError(f"coordinate index out of range: {coord}")
+
+
+def coord_name(coord: int) -> str:
+    """Human name of a coordinate: ``q``, ``c_0xy``, ``cp_z0x``, ..."""
+    _require_coord(coord)
     return COORDINATES[coord].name
 
 
-#: the two fixed-order blocks, in the order of ``_State.coeffs``, and the
-#: contiguous span of coordinate indices that holds each block's coefficients
-_BLOCKS = tuple(name for name, _ in SEP_BLOCKS)
-_SPANS = tuple(
-    slice(ks[0], ks[-1] + 1)
-    for ks in ([k for k, coord in enumerate(COORDINATES) if coord.block == b] for b in _BLOCKS)
-)
-
-
 def _block_of(coord: int) -> int:
-    """Index into ``_BLOCKS`` of a block coordinate."""
-    return _BLOCKS.index(COORDINATES[coord].block)
-
-
-_AT = dict(SEP_BLOCKS)  # each block's identity factor
-#: ``_WORDS[k]`` is coordinate k's 8 x 8 Pauli word on the three factors its
-#: block does not hold at the identity (zero for q); ``_BLOCK_WORDS`` holds
-#: each block's span of it
-_WORDS = np.stack([np.zeros((8, 8), dtype=complex)] + [
-    pauli_matrix(c.word[: _AT[c.block]] + c.word[_AT[c.block] + 1 :]) for c in COORDINATES[1:]
-])
-_BLOCK_WORDS = tuple(_WORDS[span] for span in _SPANS)
-_EYE8 = np.eye(8, dtype=complex)
-
-
-def _block_matrix(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
-    return _EYE8 / 4.0 + np.tensordot(coeffs, words, axes=(0, 0))
-
-
-def _min_eig(matrix: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(matrix)[0])
+    """Index into ``SEP_BLOCKS`` of a block coordinate (spans are consecutive)."""
+    return int(coord >= BLOCK_SPANS[1].start)
 
 
 @dataclass(frozen=True)
@@ -166,10 +150,7 @@ class OptimizerConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         for name in ("sweep_tol", "line_tol", "psd_tol"):
-            value = getattr(self, name)
-            # NaN fails every comparison, so `value <= 0` alone would let it through
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            require_positive_finite(name, getattr(self, name))
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.objective not in OBJECTIVES:
@@ -189,7 +170,9 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class RestartRecord:
     """One restart: its value and ascent sweeps, the final smallest
-    eigenvalue of each block, how centering ended (``centering_stop`` is
+    eigenvalue of each block, the ascent's ranked line maximizations
+    (``line_searches``) and objective evaluations (``objective_evals``, the
+    initial one included), how centering ended (``centering_stop`` is
     ``converged`` or ``pass_cap``) and how the ascent ended (``ascent_stop``
     is ``converged`` or ``max_sweeps``)."""
 
@@ -199,6 +182,8 @@ class RestartRecord:
     sweeps: int
     min_eig_ab: float
     min_eig_ba: float
+    line_searches: int
+    objective_evals: int
     centering_passes: int
     centering_stop: str
     ascent_stop: str
@@ -239,8 +224,8 @@ class _Engine:
         idx = np.array([[PAULI_LETTERS.index(ch) for ch in c.word] for c in COORDINATES[1:]]).T
         rows = np.einsum("kay,kby->kab", wa[idx[0], idx[1]], t_b[idx[2], idx[3]])
         self.rows = np.vstack([np.zeros(base.size), rows.reshape(N_COORDS - 1, -1)])
-        # each block's increment rows: its span of rows, blocks as in _BLOCKS
-        self.incs = tuple(self.rows[span] for span in _SPANS)
+        # each block's increment rows: its span of rows, blocks as in SEP_BLOCKS
+        self.incs = tuple(self.rows[span] for span in BLOCK_SPANS)
         self._base_flat = base.reshape(-1)
 
     def is_flat(self, coord: int, q: float) -> bool:
@@ -249,58 +234,29 @@ class _Engine:
         weight (q for the first block, 1 - q for the second) is 0."""
         return (q, 1.0 - q)[_block_of(coord)] == 0.0 or not self.rows[coord].any()
 
-    def joint(self, state: _State) -> np.ndarray:
-        """The joint (a, b) distribution at a search point."""
-        q, (c, cp), (inc_a, inc_b) = state.q, state.coeffs, self.incs
-        flat = self._base_flat + q * (c @ inc_a) + (1.0 - q) * (cp @ inc_b)
+    def joint(self, x: np.ndarray) -> np.ndarray:
+        """The joint (a, b) distribution at the search point ``x``."""
+        q, (ab, ba), (inc_a, inc_b) = float(x[0]), BLOCK_SPANS, self.incs
+        flat = self._base_flat + q * (x[ab] @ inc_a) + (1.0 - q) * (x[ba] @ inc_b)
         return flat.reshape(self.n_a, self.n_b)
 
-    def direction(self, state: _State, coord: int) -> np.ndarray:
-        """Derivative of the joint in one coordinate at a search point:
-        c inc_a - c' inc_b for q, the block's weight times the increment row
-        for a block coefficient."""
+    def direction(self, x: np.ndarray, coord: int) -> np.ndarray:
+        """Derivative of the joint in one coordinate at the search point
+        ``x``: c inc_a - c' inc_b for q, the block's weight times the
+        increment row for a block coefficient."""
         if coord == 0:
-            (c, cp), (inc_a, inc_b) = state.coeffs, self.incs
-            flat = c @ inc_a - cp @ inc_b
+            (ab, ba), (inc_a, inc_b) = BLOCK_SPANS, self.incs
+            flat = x[ab] @ inc_a - x[ba] @ inc_b
         else:
-            flat = (state.q, 1.0 - state.q)[_block_of(coord)] * self.rows[coord]
+            q = float(x[0])
+            flat = (q, 1.0 - q)[_block_of(coord)] * self.rows[coord]
         return flat.reshape(self.n_a, self.n_b)
 
 
-class _State:
-    """Mutable search point: the vector ``x`` of ``SepParams.vector``, and
-    ``coeffs``, each block's span of it (views)."""
-
-    __slots__ = ("x", "coeffs")
-
-    def __init__(self, params: SepParams):
-        self.x = params.vector()
-        self.coeffs = tuple(self.x[span] for span in _SPANS)
-
-    @property
-    def q(self) -> float:
-        return float(self.x[0])
-
-    def to_params(self) -> SepParams:
-        return SepParams.from_vector(self.x)
-
-    def get(self, coord: int) -> float:
-        return float(self.x[coord])
-
-    def set(self, coord: int, value: float):
-        self.x[coord] = value
-
-    def min_eigs(self) -> tuple[float, float]:
-        """Smallest eigenvalues of the two fixed-order blocks."""
-        ab, ba = (_min_eig(_block_matrix(*pair)) for pair in zip(self.coeffs, _BLOCK_WORDS))
-        return ab, ba
-
-
-def _coord_line(state: _State, coord: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _coord_line(x: np.ndarray, coord: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(block matrix at the incumbent, the coordinate's Pauli word, incumbent
     value) of a block coordinate: the block along the line is A + (t - t0) P."""
-    block = _block_of(coord)
-    return _block_matrix(state.coeffs[block], _BLOCK_WORDS[block]), _WORDS[coord], state.get(coord)
+    return block_matrix(x, _block_of(coord)), BLOCK_WORDS[coord], float(x[coord])
 
 
 def _line_interval(
@@ -335,10 +291,10 @@ def _line_interval(
     return (t0 - max(float(nu[4]), 0.0), t0 - min(float(nu[3]), 0.0))
 
 
-def _interval_of(state: _State, coord: int, psd_tol: float) -> tuple[float, float]:
+def _interval_of(x: np.ndarray, coord: int, psd_tol: float) -> tuple[float, float]:
     if coord == 0:
         return (0.0, 1.0)
-    return _line_interval(*_coord_line(state, coord), psd_tol, COORDINATES[coord].block)
+    return _line_interval(*_coord_line(x, coord), psd_tol, COORDINATES[coord].block)
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -384,13 +340,13 @@ def _line_max(
 
 
 def _line_fn(
-    engine: _Engine, value: Callable[[np.ndarray], float], state: _State, coord: int
+    engine: _Engine, value: Callable[[np.ndarray], float], x: np.ndarray, coord: int
 ) -> Callable[[float], float]:
-    """The objective along one coordinate line through the incumbent, on the
-    affine joint: t -> value(j0 + (t - t0) d), with j0 the joint at the
-    incumbent, t0 its coordinate and d the joint's derivative in it."""
-    joint0, t0 = engine.joint(state), state.get(coord)
-    direction = engine.direction(state, coord)
+    """The objective along one coordinate line through the incumbent ``x``,
+    on the affine joint: t -> value(j0 + (t - t0) d), with j0 the joint at
+    the incumbent, t0 its coordinate and d the joint's derivative in it."""
+    joint0, t0 = engine.joint(x), float(x[coord])
+    direction = engine.direction(x, coord)
     return lambda t: value(joint0 + (t - t0) * direction)
 
 
@@ -408,17 +364,18 @@ def random_feasible_init(
     The base must be feasible; then the halving loop terminates, since the
     drawn coefficients shrink towards it.  Deterministic function of seed.
     """
-    state = _State(base if base is not None else SepParams.zeros())
-    _require_feasible(*state.min_eigs(), psd_tol)
+    require_positive_finite("psd_tol", psd_tol)
+    x = (base if base is not None else SepParams.zeros()).vector()
+    require_feasible(*block_min_eigs(x), psd_tol)
     rng = np.random.default_rng(seed)
     if 0 in coords:
-        state.set(0, rng.uniform())
+        x[0] = rng.uniform()
     coeff_coords = [k for k in coords if k != 0]
     draws = rng.normal(scale=_INIT_SCALE, size=len(coeff_coords))
     while True:
-        state.x[coeff_coords] = draws
-        if min(state.min_eigs()) >= -psd_tol:
-            return state.to_params()
+        x[coeff_coords] = draws
+        if min(block_min_eigs(x)) >= -psd_tol:
+            return SepParams.from_vector(x)
         draws = draws * 0.5
 
 
@@ -432,9 +389,9 @@ def feasible_interval(
     the block's smallest eigenvalue there is -psd_tol / 2 up to roundoff
     (below 1e-15), so they re-check as feasible at ``psd_tol``.
     """
-    if not 0 <= coord < N_COORDS:
-        raise ValueError(f"coordinate index out of range: {coord}")
-    return _interval_of(_State(params), coord, psd_tol)
+    _require_coord(coord)
+    require_positive_finite("psd_tol", psd_tol)
+    return _interval_of(params.vector(), coord, psd_tol)
 
 
 def line_maximize(
@@ -452,14 +409,17 @@ def line_maximize(
     seeds the golden stage and no global-optimality guarantee is made.
     """
     cfg = cfg or OptimizerConfig()
+    _require_coord(coord)
     lo, hi = interval
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval endpoints must be finite, got {interval}")
     if hi < lo:
         raise ValueError(f"empty interval: {interval}")
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-    state = _State(params)
+    x = params.vector()
     best_t, best_v = _line_max(
-        _line_fn(engine, partial(objective, cfg.objective), state, coord),
-        state.get(coord), lo, hi, cfg.line_tol, cfg.objective in _CONCAVE_OBJECTIVES,
+        _line_fn(engine, partial(objective, cfg.objective), x, coord),
+        float(x[coord]), lo, hi, cfg.line_tol, cfg.objective in CONCAVE_OBJECTIVES,
     )
     return best_v, best_t
 
@@ -546,8 +506,9 @@ def _slack_max(
     return best_s, best_f, lam0, best_matrix, best_eig
 
 
-def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig) -> tuple[int, str]:
-    """Move objective-flat coordinates to their maximum-slack points.
+def _center_unranked(x: np.ndarray, engine: _Engine, cfg: OptimizerConfig) -> tuple[int, str]:
+    """Move the search point's objective-flat coordinates to their
+    maximum-slack points, in place.
 
     Iterated until the flat set stops moving (stop ``converged``), at most
     ``_CENTERING_MAX_PASSES`` passes (stop ``pass_cap``); returns (passes,
@@ -560,23 +521,24 @@ def _center_unranked(state: _State, engine: _Engine, cfg: OptimizerConfig) -> tu
     that found it, A + sP with the solve already made; a rejected move keeps
     them.  So a line solves only at its probes away from s = 0.
     """
-    coords = [k for k in cfg.active_coords() if k != 0 and engine.is_flat(k, state.q)]
+    q = float(x[0])
+    coords = [k for k in cfg.active_coords() if k != 0 and engine.is_flat(k, q)]
     carried = {}
     for block in dict.fromkeys(map(_block_of, coords)):
-        matrix = _block_matrix(state.coeffs[block], _BLOCK_WORDS[block])
+        matrix = block_matrix(x, block)
         eig = np.linalg.eigh(matrix)
         if eig[0][0] < -cfg.psd_tol:
-            raise InfeasibleParamsError(_BLOCKS[block], float(eig[0][0]))
+            raise InfeasibleParamsError(SEP_BLOCKS[block][0], float(eig[0][0]))
         carried[block] = matrix, eig
     for passes in range(1, _CENTERING_MAX_PASSES + 1):
         moved = 0.0
         for coord in coords:
             block = _block_of(coord)
             matrix, eig = carried[block]
-            s, lam, lam0, probed, probe = _slack_max(matrix, _WORDS[coord], cfg.line_tol, eig)
+            s, lam, lam0, probed, probe = _slack_max(matrix, BLOCK_WORDS[coord], cfg.line_tol, eig)
             if lam > lam0:
                 moved = max(moved, abs(s))
-                state.set(coord, state.get(coord) + s)
+                x[coord] += s
                 carried[block] = probed, probe
         if moved < cfg.sweep_tol:
             return passes, "converged"
@@ -587,39 +549,47 @@ def _ascend(
     init: SepParams, cfg: OptimizerConfig
 ) -> tuple[SepParams, float, tuple[float, ...], tuple]:
     """(params, value, trace, the ``RestartRecord`` fields after value:
-    sweeps, the final smallest eigenvalue of each block, centering passes,
-    centering stop and ascent stop); the ascent stops ``converged`` after a
-    sweep that moves no coordinate by ``sweep_tol`` or more, else at
-    ``max_sweeps``."""
+    sweeps, the final smallest eigenvalue of each block, line searches,
+    objective evaluations, centering passes, centering stop and ascent
+    stop); the ascent stops ``converged`` after a sweep that moves no
+    coordinate by ``sweep_tol`` or more, else at ``max_sweeps``."""
     engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-    value = partial(objective, cfg.objective)
-    state = _State(init)
-    _require_feasible(*state.min_eigs(), cfg.psd_tol)
+    evals = 0
 
-    concave = cfg.objective in _CONCAVE_OBJECTIVES
-    centering = _center_unranked(state, engine, cfg)
-    current = value(engine.joint(state))
+    def value(joint: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
+        return objective(cfg.objective, joint)
+
+    x = init.vector()
+    require_feasible(*block_min_eigs(x), cfg.psd_tol)
+
+    concave = cfg.objective in CONCAVE_OBJECTIVES
+    centering = _center_unranked(x, engine, cfg)
+    current = value(engine.joint(x))
     trace = [current]
-    sweeps, stop = 0, "max_sweeps"
+    sweeps, searches, stop = 0, 0, "max_sweeps"
     for _ in range(cfg.max_sweeps):
         sweeps += 1
         delta = 0.0
         for coord in cfg.active_coords():
-            if coord != 0 and engine.is_flat(coord, state.q):
+            if coord != 0 and engine.is_flat(coord, float(x[0])):
                 continue  # a constant line cannot strictly improve
-            lo, hi = _interval_of(state, coord, cfg.psd_tol)
-            t0 = state.get(coord)
-            f = _line_fn(engine, value, state, coord)
+            lo, hi = _interval_of(x, coord, cfg.psd_tol)
+            t0 = float(x[coord])
+            f = _line_fn(engine, value, x, coord)
             best_t, best_v = _line_max(f, t0, lo, hi, cfg.line_tol, concave)
+            searches += 1
             if best_t != t0 and best_v > current:
-                state.set(coord, best_t)
+                x[coord] = best_t
                 delta = max(delta, abs(best_t - t0))
                 current = best_v
         trace.append(current)
         if delta < cfg.sweep_tol:
             stop = "converged"
             break
-    return state.to_params(), current, tuple(trace), (sweeps, *state.min_eigs(), *centering, stop)
+    fields = (sweeps, *block_min_eigs(x), searches, evals, *centering, stop)
+    return SepParams.from_vector(x), current, tuple(trace), fields
 
 
 def coordinate_ascent(

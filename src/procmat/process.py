@@ -30,9 +30,10 @@ from .operators import (
     from_pauli_map,
     identity,
     min_eigenvalue,
+    pauli_matrix,
     trace_replace,
 )
-from .validation import VALIDITY_TOL, CheckResult, ValidityReport
+from .validation import VALIDITY_TOL, CheckResult, ValidityReport, require_positive_finite
 
 #: axis letters for the separable-family coefficient tables
 AXIS_FULL = "0xyz"
@@ -192,6 +193,37 @@ SEP_WORDS_AB = tuple(coord.word for coord in COORDINATES if coord.block == "A<B"
 #: 4-letter Pauli words of the B<A block, in c_prime-array (i, alpha, j) order.
 SEP_WORDS_BA = tuple(coord.word for coord in COORDINATES if coord.block == "B<A")
 
+#: The block pencil: a fixed-order block is the identity on one factor times
+#: B_b(x) = I/4 + sum_{k in BLOCK_SPANS[b]} x_k BLOCK_WORDS[k] on the other
+#: three, so the family is feasible where both 8 x 8 pencils are PSD.
+#: ``BLOCK_SPANS`` holds each block's contiguous span of coordinate indices,
+#: in ``SEP_BLOCKS`` order.
+BLOCK_SPANS = tuple(
+    slice(ks[0], ks[-1] + 1)
+    for ks in ([k for k, c in enumerate(COORDINATES) if c.block == b] for b, _ in SEP_BLOCKS)
+)
+_AT = dict(SEP_BLOCKS)  # each block's identity factor
+#: ``BLOCK_WORDS[k]`` is coordinate k's 8 x 8 Pauli word on the three factors
+#: its block does not hold at the identity (zero for q)
+BLOCK_WORDS = np.stack([np.zeros((8, 8), dtype=complex)] + [
+    pauli_matrix(c.word[: _AT[c.block]] + c.word[_AT[c.block] + 1 :]) for c in COORDINATES[1:]
+])
+BLOCK_WORDS.setflags(write=False)
+_EYE8 = np.eye(8, dtype=complex)
+
+
+def block_matrix(x: np.ndarray, b: int) -> np.ndarray:
+    """B_b(x), the 8 x 8 pencil of block ``b`` (an index into ``SEP_BLOCKS``)
+    at the coordinate vector ``x``."""
+    span = BLOCK_SPANS[b]
+    return _EYE8 / 4.0 + np.tensordot(x[span], BLOCK_WORDS[span], axes=(0, 0))
+
+
+def block_min_eigs(x: np.ndarray) -> tuple[float, float]:
+    """Smallest eigenvalue of each block's pencil at ``x``, in ``SEP_BLOCKS`` order."""
+    ab, ba = (float(np.linalg.eigvalsh(block_matrix(x, b))[0]) for b in range(len(SEP_BLOCKS)))
+    return ab, ba
+
 
 @dataclass(frozen=True)
 class SepParams:
@@ -278,17 +310,14 @@ def ordered_block_ba(p: SepParams) -> HermitianOperator:
 
 
 def sep_feasibility(p: SepParams) -> tuple[float, float]:
-    """Minimum eigenvalues of the two fixed-order blocks."""
-    return (
-        min_eigenvalue(ordered_block_ab(p)),
-        min_eigenvalue(ordered_block_ba(p)),
-    )
+    """Minimum eigenvalues of the two fixed-order blocks, from their pencils."""
+    return block_min_eigs(p.vector())
 
 
-def _require_feasible(min_eig_ab: float, min_eig_ba: float, psd_tol: float):
+def require_feasible(min_eig_ab: float, min_eig_ba: float, psd_tol: float):
     """Raise :class:`InfeasibleParamsError` for the first fixed-order block
     whose smallest eigenvalue is below -psd_tol."""
-    for block, min_eig in (("A<B", min_eig_ab), ("B<A", min_eig_ba)):
+    for (block, _), min_eig in zip(SEP_BLOCKS, (min_eig_ab, min_eig_ba)):
         if min_eig < -psd_tol:
             raise InfeasibleParamsError(block, min_eig)
 
@@ -303,11 +332,13 @@ class SeparableTriple:
 def separable_from_params(p: SepParams, psd_tol: float = VALIDITY_TOL) -> SeparableTriple:
     """Build W^{A<B}, W^{B<A}, and their q-mixture; reject infeasible params.
 
-    Rejection names the offending block and its most-negative eigenvalue.
+    Rejection names the offending block and its most-negative eigenvalue,
+    read from the block pencils before any 16 x 16 operator is built.
     """
+    require_positive_finite("psd_tol", psd_tol)
+    require_feasible(*sep_feasibility(p), psd_tol)
     block_ab = ordered_block_ab(p)
     block_ba = ordered_block_ba(p)
-    _require_feasible(min_eigenvalue(block_ab), min_eigenvalue(block_ba), psd_tol)
     mixture = p.q * block_ab + (1.0 - p.q) * block_ba
     return SeparableTriple(as_process(block_ab), as_process(block_ba), as_process(mixture))
 

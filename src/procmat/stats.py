@@ -178,7 +178,7 @@ _QUANTITIES = {
 }
 #: the quantities concave in the joint distribution (conditional entropy
 #: included); mutual information is not
-_CONCAVE_OBJECTIVES = frozenset({"H_AB", "H_A", "H_B", "H_A_given_B"})
+CONCAVE_OBJECTIVES = frozenset({"H_AB", "H_A", "H_B", "H_A_given_B"})
 OBJECTIVES = tuple(_QUANTITIES)
 
 

@@ -6,11 +6,20 @@ lives in one place and failures are auditable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: the one validity tolerance: process and instrument checks, the separable
 #: family's block positivity and the optimizer's default ``psd_tol``
 VALIDITY_TOL = 1e-10
+
+
+def require_positive_finite(name: str, value: float):
+    """Raise ValueError unless ``value`` is a positive finite number (a
+    tolerance such as ``psd_tol``)."""
+    # NaN fails every comparison, so `value <= 0` alone would let it through
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

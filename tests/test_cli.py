@@ -494,6 +494,18 @@ class TestOptimize:
             assert [float(r[key]) for r in rows["csv"]] == [r[key] for r in rows["json"]]
             assert all(r[key] >= -1e-10 for r in rows["json"])
 
+    def test_sep_rows_record_ascent_counts(self, capsys, tmp_path):
+        rows = {}
+        for fmt in ("json", "csv"):
+            argv = ("optimize", "sep", "--restarts", "2", "--tol", "1e-2", "--format", fmt)
+            code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / f"{fmt}.json"))
+            assert code == 0
+            rows[fmt] = json.loads(out)["restarts"] if fmt == "json" else parse_csv(out)
+        assert list(rows["csv"][0])[6:8] == ["line_searches", "objective_evals"]
+        for key in ("line_searches", "objective_evals"):
+            assert [int(r[key]) for r in rows["csv"]] == [r[key] for r in rows["json"]]
+        assert all(r["objective_evals"] > r["line_searches"] > 0 for r in rows["json"])
+
     def test_feix_records_eps_inert_under_gyni(self, capsys, tmp_path):
         out_path = tmp_path / "feix.json"
         code, out, _ = run_cli(capsys, "optimize", "feix", "--out", str(out_path))

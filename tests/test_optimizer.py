@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from functools import partial
@@ -20,7 +21,6 @@ from procmat.optimizer import (
     _line_fn,
     _line_interval,
     _slack_max,
-    _State,
     coord_name,
     coordinate_ascent,
     feasible_interval,
@@ -31,6 +31,8 @@ from procmat.optimizer import (
     random_feasible_init,
 )
 from procmat.process import (
+    BLOCK_SPANS,
+    BLOCK_WORDS,
     COORDINATES,
     SEP_BLOCKS,
     SEP_WORDS_AB,
@@ -38,6 +40,7 @@ from procmat.process import (
     FeixParams,
     InfeasibleParamsError,
     SepParams,
+    block_matrix as block_pencil,
     feix_block_ab,
     feix_block_ba,
     feix_process,
@@ -252,10 +255,10 @@ class TestSlackMax:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m) or eigh(m))
         probes = []
         for seed in range(40):
-            state = _State(random_feasible_init(seed))
-            flat = [k for k in range(1, N_COORDS) if engine.is_flat(k, state.q)]
+            x = random_feasible_init(seed).vector()
+            flat = [k for k in range(1, N_COORDS) if engine.is_flat(k, x[0])]
             coord = int(rng.choice(flat))
-            block, word, t0 = _coord_line(state, coord)
+            block, word, t0 = _coord_line(x, coord)
             solves.clear()
             s, lam, lam0, *_ = _slack_max(block, word, self.LINE_TOL, np.linalg.eigh(block))
             probes.append(len(solves))
@@ -281,9 +284,9 @@ class TestSlackMax:
     def test_infeasible_incumbent_raises_naming_the_block(self):
         cfg = OptimizerConfig()
         engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-        state = _State(SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}))
+        x = SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}).vector()
         with pytest.raises(InfeasibleParamsError) as err:
-            _center_unranked(state, engine, cfg)
+            _center_unranked(x, engine, cfg)
         assert err.value.block == "B<A"
         assert err.value.min_eig == pytest.approx(0.25 - 0.4, abs=1e-12)
         assert str(err.value) == str(InfeasibleParamsError("B<A", err.value.min_eig))
@@ -301,8 +304,8 @@ class TestCarriedCentering:
         lines = []
 
         def spy(block, word, tol, eig):
-            which = 0 if np.shares_memory(word, optimizer._BLOCK_WORDS[0]) else 1
-            rebuilt = optimizer._block_matrix(state.coeffs[which], optimizer._BLOCK_WORDS[which])
+            which = 0 if np.shares_memory(word, BLOCK_WORDS[BLOCK_SPANS[0]]) else 1
+            rebuilt = block_pencil(x, which)
             lam, vecs = eig
             lines.append((
                 np.abs(block - rebuilt).max(),
@@ -312,8 +315,8 @@ class TestCarriedCentering:
 
         monkeypatch.setattr(optimizer, "_slack_max", spy)
         for seed in (0, 2, 3):
-            state = _State(random_feasible_init(seed))
-            _center_unranked(state, engine, self.CFG)
+            x = random_feasible_init(seed).vector()
+            _center_unranked(x, engine, self.CFG)
         # seeds 0 and 3 converge (25 and 11 passes), seed 2 reaches the pass cap
         assert len(lines) > 64 * 50
         block_drift, decomposition_error = np.max(lines, axis=0)
@@ -326,9 +329,9 @@ class TestCarriedCentering:
         eigh = np.linalg.eigh
         solves = []
         for seed in range(40):
-            state = _State(random_feasible_init(seed))
-            flat = [k for k in range(1, N_COORDS) if engine.is_flat(k, state.q)]
-            block, word, _ = _coord_line(state, int(rng.choice(flat)))
+            x = random_feasible_init(seed).vector()
+            flat = [k for k in range(1, N_COORDS) if engine.is_flat(k, x[0])]
+            block, word, _ = _coord_line(x, int(rng.choice(flat)))
             s, lam, _, matrix, eig = _slack_max(block, word, self.CFG.line_tol, eigh(block))
             # the returned pair is the probed matrix and its solve
             np.testing.assert_array_equal(matrix, block + s * word if s else block)
@@ -345,10 +348,10 @@ class TestCarriedCentering:
         # when each line checked its own block; the zero A<B block is already
         # at its maximum slack along the line, so one pass moves nothing
         engine = TestFlatCoordinates().engine()
-        state = _State(SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}))
+        x = SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}).vector()
         cfg = OptimizerConfig(coords=(COORD_C_0ZZ - 1,))
         assert engine.is_flat(COORD_C_0ZZ - 1, 0.5)
-        assert _center_unranked(state, engine, cfg) == (1, "converged")
+        assert _center_unranked(x, engine, cfg) == (1, "converged")
 
 
 class TestCenteringRecord:
@@ -384,13 +387,13 @@ class TestAffineLine:
         start = random_feasible_init(17)
         params = SepParams(q, start.c, start.c_prime)
         for coord in (0, 5, COORD_C_0ZZ, COORD_CP_Z0X, 44, 72):
-            state = _State(params)
-            line = _line_fn(engine, value, state, coord)
+            x = params.vector()
+            line = _line_fn(engine, value, x, coord)
             for t in np.linspace(*feasible_interval(params, coord), 7):
-                probe = _State(params)
-                probe.set(coord, t)
+                probe = params.vector()
+                probe[coord] = t
                 assert line(t) == pytest.approx(value(engine.joint(probe)), rel=0, abs=1e-14)
-            assert state.to_params().to_flat_map() == params.to_flat_map()
+            assert SepParams.from_vector(x).to_flat_map() == params.to_flat_map()
 
 
 def _coord_value(p, coord):
@@ -733,12 +736,12 @@ class TestBlockWords:
         assert [name for name, _ in SEP_BLOCKS] == ["A<B", "B<A"]
         assert [CANONICAL_LABELS[at].name for _, at in SEP_BLOCKS] == ["B_O", "A_O"]
         for b, ((name, at), words) in enumerate(zip(SEP_BLOCKS, (SEP_WORDS_AB, SEP_WORDS_BA))):
-            assert optimizer._BLOCKS[b] == name
+            assert {c.block for c in COORDINATES[BLOCK_SPANS[b]]} == {name}
             keep = "".join(rows[k] for k in range(4) if k != at)
             keep += "".join(cols[k] for k in range(4) if k != at)
             embed = f"{keep},{rows[at]}{cols[at]}->{rows}{cols}"
             assert len(words) == 36 and all(word[at] == "I" for word in words)
-            for small, word in zip(optimizer._BLOCK_WORDS[b], words):
+            for small, word in zip(BLOCK_WORDS[BLOCK_SPANS[b]], words):
                 full = np.einsum(embed, small.reshape((2,) * 6), np.eye(2)).reshape(16, 16)
                 assert np.array_equal(full, word_matrix(word))
 
@@ -827,26 +830,26 @@ class TestCoordinateAddress:
         with pytest.raises(ValueError, match="expected 73 coordinates"):
             SepParams.from_vector(x[1:])
 
-    def test_state_blocks_are_spans_of_the_vector(self):
-        state = _State(random_feasible_init(4))
-        for b, name in enumerate(optimizer._BLOCKS):
+    def test_block_spans_are_the_blocks_coordinates(self):
+        x = random_feasible_init(4).vector()
+        for b, (name, _) in enumerate(SEP_BLOCKS):
             ks = [k for k, coord in enumerate(COORDINATES) if coord.block == name]
-            assert np.shares_memory(state.coeffs[b], state.x)
-            np.testing.assert_array_equal(state.coeffs[b], state.x[ks])
-        state.set(COORD_CP_Z0X, 0.01)
-        assert state.coeffs[1][COORD_CP_Z0X - 37] == 0.01
+            assert list(range(N_COORDS)[BLOCK_SPANS[b]]) == ks
+            np.testing.assert_array_equal(x[BLOCK_SPANS[b]], x[ks])
+        x[COORD_CP_Z0X] = 0.01
+        assert x[BLOCK_SPANS[1]][COORD_CP_Z0X - 37] == 0.01
 
     def test_words_and_rows_are_indexed_by_coordinate(self, rng):
         draw = rng.dirichlet(np.ones(4)).reshape(2, 2)
         engine = _Engine(gyni_strategy("A"), gyni_strategy("B"), InputDist(draw))
-        assert not optimizer._WORDS[0].any() and not engine.rows[0].any()
+        assert not BLOCK_WORDS[0].any() and not engine.rows[0].any()
         for b in range(len(SEP_BLOCKS)):
-            assert np.shares_memory(optimizer._BLOCK_WORDS[b], optimizer._WORDS)
+            assert np.shares_memory(BLOCK_WORDS[BLOCK_SPANS[b]], BLOCK_WORDS)
             assert np.shares_memory(engine.incs[b], engine.rows)
         for k in (1, COORD_C_0ZZ, 36, 37, COORD_CP_Z0X, 72):
             word = COORDINATES[k].word
             at = dict(SEP_BLOCKS)[COORDINATES[k].block]
-            assert np.array_equal(optimizer._WORDS[k], word_matrix(word[:at] + word[at + 1 :]))
+            assert np.array_equal(BLOCK_WORDS[k], word_matrix(word[:at] + word[at + 1 :]))
             # the joint increment of the word, through the probability rule at
             # the PSD point I/4 + P/8
             process = from_pauli_map({"IIII": 0.25, word: 0.125})
@@ -910,3 +913,111 @@ class TestFinalBlockSlack:
         assert (best.min_eig_ab, best.min_eig_ba) == pytest.approx(pair, rel=0, abs=1e-14)
         for record in result.records:
             assert min(record.min_eig_ab, record.min_eig_ba) >= -cfg.psd_tol
+
+
+class TestCoordinateRange:
+    """``coord_name``, ``feasible_interval`` and ``line_maximize`` share one
+    coordinate-range check."""
+
+    @pytest.mark.parametrize("coord", [-1, N_COORDS])
+    def test_out_of_range_coordinate_rejected_alike(self, coord):
+        # unchecked, line_maximize maximized coordinate 72 for -1 and raised
+        # IndexError for 73
+        p = SepParams.zeros()
+        calls = (
+            lambda: coord_name(coord),
+            lambda: feasible_interval(p, coord),
+            lambda: line_maximize(p, coord, (-0.1, 0.1)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"coordinate index out of range: {coord}"
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+    def test_non_finite_endpoint_rejected(self, end):
+        for interval in ((-0.1, end), (end, 0.1)):
+            with pytest.raises(ValueError, match="interval endpoints must be finite"):
+                line_maximize(SepParams.zeros(), COORD_C_0ZZ, interval)
+
+
+class TestPsdTolChecked:
+    """The public ``psd_tol`` arguments follow the config's one rule, checked
+    before any draw or eigensolve."""
+
+    MESSAGE = "psd_tol must be positive and finite"
+
+    @staticmethod
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{what} before psd_tol was checked")
+
+        return refused
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_random_feasible_init_rejects_before_drawing(self, monkeypatch, tol):
+        # unchecked, psd_tol = nan never returned
+        monkeypatch.setattr(np.random, "default_rng", self.refuse("drew"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", self.refuse("solved"))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            random_feasible_init(1, tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_feasible_interval_rejects_before_solving(self, monkeypatch, tol):
+        # unchecked, psd_tol = nan raised LinAlgError
+        monkeypatch.setattr(np.linalg, "eigh", self.refuse("solved"))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            feasible_interval(SepParams.zeros(), COORD_C_0ZZ, tol)
+
+    def test_one_message_for_the_config_and_the_entry_points(self):
+        nan = math.nan
+        calls = (
+            lambda: OptimizerConfig(psd_tol=nan),
+            lambda: random_feasible_init(1, nan),
+            lambda: feasible_interval(SepParams.zeros(), COORD_C_0ZZ, nan),
+            lambda: separable_from_params(SepParams.zeros(), nan),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {f"{self.MESSAGE}, got nan"}
+
+
+class TestAscentCounts:
+    """Each restart records the ascent's ranked line maximizations and its
+    objective evaluations (equal for any jobs: see
+    ``TestCenteringRecord.test_records_equal_for_any_jobs``)."""
+
+    def test_fields_follow_the_final_block_slack(self):
+        names = [f.name for f in dataclasses.fields(optimizer.RestartRecord)]
+        assert names[4:8] == ["min_eig_ab", "min_eig_ba", "line_searches", "objective_evals"]
+        assert names[-3:] == ["centering_passes", "centering_stop", "ascent_stop"]
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(objective="H_AB", seed=200),
+            dict(objective="I_AB", seed=3),
+            dict(objective="H_AB", seed=5, coords=(0, COORD_C_0ZZ, COORD_CP_Z0X)),
+        ],
+    )
+    def test_counts_match_spies(self, monkeypatch, settings):
+        searches, evals = [], []
+        line_max, value = optimizer._line_max, optimizer.objective
+
+        def line_spy(*args):
+            searches.append(args[1])
+            return line_max(*args)
+
+        def value_spy(*args):
+            evals.append(1)
+            return value(*args)
+
+        monkeypatch.setattr(optimizer, "_line_max", line_spy)
+        monkeypatch.setattr(optimizer, "objective", value_spy)
+        cfg = OptimizerConfig(restarts=1, sweep_tol=1e-2, **settings)
+        record = multistart(cfg).records[0]
+        assert record.line_searches == len(searches) > 0
+        assert record.objective_evals == len(evals) > record.line_searches

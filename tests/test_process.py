@@ -16,12 +16,15 @@ from procmat.operators import (
     trace_replace,
 )
 from procmat.process import (
+    BLOCK_WORDS,
     COORDINATES,
+    SEP_BLOCKS,
     SEP_WORDS_AB,
     SEP_WORDS_BA,
     FeixParams,
     InfeasibleParamsError,
     SepParams,
+    block_min_eigs,
     feix_block_ab,
     feix_block_ba,
     feix_process,
@@ -317,3 +320,79 @@ class TestOneValidityTolerance:
         for fn in (separable_from_params, random_feasible_init, feasible_interval):
             assert inspect.signature(fn).parameters["psd_tol"].default is VALIDITY_TOL
         assert OptimizerConfig().psd_tol is VALIDITY_TOL
+
+
+class TestBlockPencil:
+    """The fixed-order blocks are stated once, as the 8 x 8 pencil
+    B_b(x) = I/4 + sum_k x_k BLOCK_WORDS[k] over the span BLOCK_SPANS[b] of
+    the coordinate vector; every block eigenvalue reads it."""
+
+    @staticmethod
+    def full_min_eigs(p):
+        return min_eigenvalue(ordered_block_ab(p)), min_eigenvalue(ordered_block_ba(p))
+
+    def test_pencil_is_the_block_off_its_identity_factor(self):
+        p = random_feasible_init(8)
+        blocks = (ordered_block_ab(p), ordered_block_ba(p))
+        for b, (block, (_, at)) in enumerate(zip(blocks, SEP_BLOCKS)):
+            # the block is the pencil with I/2 x 2 put in at its identity factor
+            reduced = np.trace(block.matrix.reshape((2,) * 8), axis1=at, axis2=4 + at) / 2
+            pencil = process.block_matrix(p.vector(), b)
+            np.testing.assert_allclose(pencil, reduced.reshape(8, 8), rtol=0, atol=1e-15)
+        assert not BLOCK_WORDS.flags.writeable
+
+    def test_min_eigs_match_the_full_blocks_at_random_starts(self):
+        for seed in range(50):
+            p = random_feasible_init(seed)
+            pencil = block_min_eigs(p.vector())
+            assert pencil == pytest.approx(self.full_min_eigs(p), rel=0, abs=1e-14)
+            assert sep_feasibility(p) == pencil
+
+    def test_min_eigs_match_at_interval_endpoints(self, rng):
+        # an endpoint leaves the moved block singular up to the endpoint slack
+        names = [name for name, _ in SEP_BLOCKS]
+        for seed in range(5):
+            p = random_feasible_init(300 + seed)
+            for k in rng.choice(np.arange(1, len(COORDINATES)), size=6, replace=False):
+                for end in feasible_interval(p, int(k)):
+                    x = p.vector()
+                    x[k] = end
+                    pencil = block_min_eigs(x)
+                    full = self.full_min_eigs(SepParams.from_vector(x))
+                    assert pencil == pytest.approx(full, rel=0, abs=1e-14)
+                    assert abs(pencil[names.index(COORDINATES[k].block)]) <= 1e-9
+
+    def test_infeasible_params_rejected_before_any_operator_is_built(self, monkeypatch, rng):
+        cases = [SepParams.from_flat_map({"c_0zz": 0.4}), SepParams.from_flat_map({"cp_x0x": 0.4})]
+        cases += [
+            SepParams(0.5, rng.normal(scale=0.2, size=(4, 3, 3)), rng.normal(scale=0.2, size=(3, 4, 3)))
+            for _ in range(4)
+        ]
+        expected = []
+        for p in cases:
+            name, eig = next(
+                (name, eig) for (name, _), eig in zip(SEP_BLOCKS, self.full_min_eigs(p))
+                if eig < -VALIDITY_TOL
+            )
+            expected.append((name, eig))
+
+        def no_operator(*args, **kwargs):
+            raise AssertionError("built an operator before rejecting")
+
+        monkeypatch.setattr(process, "from_pauli_map", no_operator)
+        for p, (name, eig) in zip(cases, expected):
+            with pytest.raises(InfeasibleParamsError) as err:
+                separable_from_params(p)
+            assert err.value.block == name
+            assert err.value.min_eig == pytest.approx(eig, rel=0, abs=1e-14)
+        assert [name for name, _ in expected[:2]] == ["A<B", "B<A"]
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+    def test_bad_psd_tol_rejected_before_any_eigensolve(self, monkeypatch, tol):
+        # unchecked, psd_tol = nan accepted this block with min eigenvalue -0.65
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before psd_tol was checked")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        with pytest.raises(ValueError, match="psd_tol must be positive and finite"):
+            separable_from_params(SepParams.from_flat_map({"c_0zz": 0.9}), tol)

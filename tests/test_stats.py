@@ -15,7 +15,7 @@ from procmat.operators import (
 )
 from procmat.process import SepParams, maximally_mixed, ocb_process, separable_from_params
 from procmat.stats import (
-    _CONCAVE_OBJECTIVES,
+    CONCAVE_OBJECTIVES,
     OBJECTIVES,
     CondProbTable,
     InputDist,
@@ -285,11 +285,11 @@ class TestEntropies:
         for name in OBJECTIVES:
             ends = objective(name, pairs)
             gap = objective(name, pairs.mean(axis=1)) - ends.mean(axis=1)
-            if name in _CONCAVE_OBJECTIVES:
+            if name in CONCAVE_OBJECTIVES:
                 assert gap.min() >= -1e-12
             else:
                 assert gap.min() < -1e-3
-        assert set(_CONCAVE_OBJECTIVES) == set(OBJECTIVES) - {"I_AB"}
+        assert set(CONCAVE_OBJECTIVES) == set(OBJECTIVES) - {"I_AB"}
 
 
 class TestGameSuccess:
