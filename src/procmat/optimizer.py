@@ -36,11 +36,12 @@ order.  The generator is numpy's default PCG64.  Each restart's
 ``RestartRecord`` counts the ascent's ranked line maximizations
 (``line_searches``) and objective evaluations (``objective_evals``).
 
-The Feix plane is I/4 + q M_sym + (1 - q + eps) M_ba, and its smallest
-eigenvalue has a closed form (derived in ``_FeixEngine``): every feasibility
-test on the plane (grid, eps bound, q interval) is a few flops, with no
-eigensolve.  The 101 x 101 grid is one vectorized evaluation of that formula
-and one ``stats.objective`` call on the stacked joints of its feasible points.
+The Feix plane W(q, eps) is stated once, in ``process``: its words
+``FEIX_WORDS_AB``/``FEIX_WORD_BA`` and its closed-form smallest eigenvalue
+``feix_min_eig``, so every feasibility test on the plane (grid, eps bound,
+q interval) is a few flops, with no eigensolve.  The 101 x 101 grid is one
+vectorized evaluation of that formula and one ``stats.objective`` call on
+the stacked joints of its feasible points.
 
 A coordinate's one address is its index k in ``process.COORDINATES`` (q, then
 the 36 + 36 block coefficients): the search point is the vector x of
@@ -54,7 +55,6 @@ built from ``stats.party_table``, the tables of the one probability rule.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -75,6 +75,7 @@ from .process import (
     SepParams,
     block_matrix,
     block_min_eigs,
+    feix_min_eig,
     require_feasible,
 )
 from .stats import CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective, party_table
@@ -407,6 +408,8 @@ def line_maximize(
     distribution is affine in the coordinate), so golden-section search is
     exact to ``line_tol``; for the mutual-information objective a coarse grid
     seeds the golden stage and no global-optimality guarantee is made.
+    An ``interval`` not inside the coordinate's feasible interval
+    (:func:`feasible_interval` at ``cfg.psd_tol``) is a ValueError.
     """
     cfg = cfg or OptimizerConfig()
     _require_coord(coord)
@@ -415,8 +418,14 @@ def line_maximize(
         raise ValueError(f"interval endpoints must be finite, got {interval}")
     if hi < lo:
         raise ValueError(f"empty interval: {interval}")
-    engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
     x = params.vector()
+    feasible = _interval_of(x, coord, cfg.psd_tol)
+    if lo < feasible[0] or hi > feasible[1]:
+        raise ValueError(
+            f"interval {interval} is not inside the feasible interval {feasible} "
+            f"of {coord_name(coord)}"
+        )
+    engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
     best_t, best_v = _line_max(
         _line_fn(engine, partial(objective, cfg.objective), x, coord),
         float(x[coord]), lo, hi, cfg.line_tol, cfg.objective in CONCAVE_OBJECTIVES,
@@ -628,6 +637,9 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
     cfg = cfg or OptimizerConfig()
     work = [(cfg, r) for r in range(cfg.restarts)]
     if jobs > 1 and cfg.restarts > 1:
+        # imported here, so that importing the package does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_restart, work))
     else:
@@ -658,25 +670,11 @@ _FEIX_BISECTION_STEPS = 31
 
 
 class _FeixEngine:
-    """Joint distribution and feasibility over the (q, eps) plane.
-
-    The process is I/4 + q S/12 + (1 - q + eps) ZIXZ/4 with S = IXXI + IYYI +
-    IZZI (words ordered A_I A_O B_I B_O), and its smallest eigenvalue has a
-    closed form.  The Z eigenvalues of A_I and B_O split the 16 basis states
-    into four sectors, each a copy of A_O x B_I.  On a sector S = 2 SWAP - I
-    and ZIXZ = sigma (I x X), with sigma the product of the two Z
-    eigenvalues.  X x X commutes with both and splits each sector into the
-    2 x 2 blocks [[2a, b], [b, 2a]] and [[2a, b], [b, -2a]] (plus 1/4 - a
-    on the diagonal), where a = q/12 and b = sigma (1 - q + eps)/4.  So the
-    smallest eigenvalue is 1/4 - a + min(2a - |b|, -sqrt(4a^2 + b^2)), for
-    every real q and eps.
-    """
+    """The joint distribution over the Feix plane of ``process.feix_process``,
+    from the ``_Engine`` rows of its words, and its feasible edges, from
+    ``process.feix_min_eig``."""
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
-        assert FEIX_WORDS_AB == ("IXXI", "IYYI", "IZZI") and FEIX_WORD_BA == "ZIXZ", (
-            "the closed-form smallest eigenvalue of the Feix plane is derived for "
-            f"A<B words IXXI, IYYI, IZZI and B<A word ZIXZ, got {FEIX_WORDS_AB} and {FEIX_WORD_BA}"
-        )
         engine = _Engine(instrument_a, instrument_b, inputs)
         self._base = engine.base_joint
         # the Feix words are separable coordinates: c_0xx, c_0yy, c_0zz and cp_zxz
@@ -692,24 +690,20 @@ class _FeixEngine:
         eps = np.asarray(eps)[..., None, None]
         return self._base + q * self._inc_sym + (1.0 - q + eps) * self._inc_ba
 
-    def min_eig(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
-        """Smallest eigenvalue of the process at each broadcast (q, eps)."""
-        a = q / 12.0
-        b = np.abs(1.0 - q + eps) / 4.0
-        return 0.25 - a + np.minimum(2.0 * a - b, -np.hypot(2.0 * a, b))
-
-    def eps_bound(self, q: float, psd_tol: float) -> float:
+    @staticmethod
+    def eps_bound(q: float, psd_tol: float) -> float:
         """Largest feasible eps at fixed q, by bisection on the smallest
         eigenvalue; -1 when eps = 0 is infeasible."""
-        if self.min_eig(q, 0.0) < -psd_tol:
+        if feix_min_eig(q, 0.0) < -psd_tol:
             return -1.0
-        return _bisect_edge(lambda eps: self.min_eig(q, eps) >= -psd_tol, 0.0, 1.0001)
+        return _bisect_edge(lambda eps: feix_min_eig(q, eps) >= -psd_tol, 0.0, 1.0001)
 
-    def q_interval(self, q0: float, eps: float, psd_tol: float) -> tuple[float, float]:
+    @staticmethod
+    def q_interval(q0: float, eps: float, psd_tol: float) -> tuple[float, float]:
         """Feasible q interval at fixed eps around the feasible q0, by bisection
         outward from q0 on each side."""
         def feasible(q: float) -> bool:
-            return 0.0 <= q <= 1.0 and self.min_eig(q, eps) >= -psd_tol
+            return 0.0 <= q <= 1.0 and feix_min_eig(q, eps) >= -psd_tol
 
         low, high = (_bisect_edge(feasible, q0, 0.5 + sign * 0.5001) for sign in (-1.0, 1.0))
         return min(low, q0), max(high, q0)
@@ -721,10 +715,10 @@ def _bisect_edge(feasible: Callable[[float], bool], lo: float, hi: float) -> flo
 
     On the Feix plane each edge is the root of a quadratic in eps or q, but
     the root is not taken in closed form.  At the exact root of
-    min_eig = -psd_tol the 16 x 16 eigensolve of the process reads up to
+    feix_min_eig = -psd_tol the 16 x 16 eigensolve of the process reads up to
     2.7e-16 below -psd_tol (over 1001 values of q), so that endpoint would
-    not re-check as feasible.  A root of min_eig = -psd_tol / 2 instead falls
-    short of the edge where min_eig is flat: at q = 1 the 16 x 16 smallest
+    not re-check as feasible.  A root of feix_min_eig = -psd_tol / 2 instead
+    falls short of the edge where it is flat: at q = 1 the 16 x 16 smallest
     eigenvalue 1e-8 beyond that root in eps is still -5.0e-11.  The bisection
     keeps a point that tests feasible, within 5e-10 of the edge.
     """
@@ -743,8 +737,8 @@ def feix_maximize(
     """Maximize the objective over the PSD region of the Feix family.
 
     A coarse grid (step 0.01 in q and eps) locates the basin: its feasibility
-    is one vectorized evaluation of the closed-form smallest eigenvalue of
-    ``_FeixEngine``, and the objective at all feasible points is one
+    is one vectorized evaluation of the closed-form smallest eigenvalue
+    ``process.feix_min_eig``, and the objective at all feasible points is one
     ``stats.objective`` call on their stacked joints; the first maximum in
     row-major (q, eps) order wins.  Coordinate golden-section refinement, with
     the q and eps intervals found by bisection on that smallest eigenvalue,
@@ -757,7 +751,7 @@ def feix_maximize(
     qs = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
     eps = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
     qq, ee = np.meshgrid(qs, eps, indexing="ij")
-    feasible = eng.min_eig(qq, ee) >= -cfg.psd_tol
+    feasible = feix_min_eig(qq, ee) >= -cfg.psd_tol
     q_grid, e_grid = qq[feasible], ee[feasible]
     grid_values = value(eng.joint(q_grid, e_grid))
     k = int(np.argmax(grid_values))

@@ -1,6 +1,6 @@
 """Two-party process matrices: construction, validation, and the built-in
 families (the OCB process, the 72-parameter separable family, the Feix
-family).
+plane).
 
 A process matrix W on A_I (x) A_O (x) B_I (x) B_O is valid when it is
 positive semidefinite, has trace d_{A_O} d_{B_O}, and satisfies three linear
@@ -12,6 +12,9 @@ conditions expressed through the trace-and-replace map _X W:
 
 These make the probability rule non-negative and normalized for all local
 instruments.
+The separable family and the Feix plane are built from words that satisfy
+the linear conditions, so only their positivity is tested: on the 8 x 8 block
+pencils and by the closed form ``feix_min_eig``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .operators import (
     CANONICAL_LABELS,
     HermitianOperator,
     from_pauli_map,
-    identity,
     min_eigenvalue,
     pauli_matrix,
     trace_replace,
@@ -324,8 +326,8 @@ def require_feasible(min_eig_ab: float, min_eig_ba: float, psd_tol: float):
 
 @dataclass(frozen=True)
 class SeparableTriple:
-    ordered_ab: ProcessMatrix
-    ordered_ba: ProcessMatrix
+    ordered_ab: HermitianOperator
+    ordered_ba: HermitianOperator
     mixture: ProcessMatrix
 
 
@@ -333,18 +335,21 @@ def separable_from_params(p: SepParams, psd_tol: float = VALIDITY_TOL) -> Separa
     """Build W^{A<B}, W^{B<A}, and their q-mixture; reject infeasible params.
 
     Rejection names the offending block and its most-negative eigenvalue,
-    read from the block pencils before any 16 x 16 operator is built.
+    read from the block pencils before any 16 x 16 operator is built.  Only
+    the mixture is validated.  The blocks need no report: their words keep
+    the identity on the output that cannot signal, their trace is exactly 4,
+    and the pencils have just shown them PSD to within ``psd_tol``.
     """
     require_positive_finite("psd_tol", psd_tol)
     require_feasible(*sep_feasibility(p), psd_tol)
     block_ab = ordered_block_ab(p)
     block_ba = ordered_block_ba(p)
     mixture = p.q * block_ab + (1.0 - p.q) * block_ba
-    return SeparableTriple(as_process(block_ab), as_process(block_ba), as_process(mixture))
+    return SeparableTriple(block_ab, block_ba, as_process(mixture))
 
 
 # ---------------------------------------------------------------------------
-# Feix family: W = q W^{A<B} + (1-q+eps) W^{B<A} - eps I/4
+# Feix plane: W(q, eps) = I/4 + q/12 (IXXI + IYYI + IZZI) + (1-q+eps)/4 ZIXZ
 # ---------------------------------------------------------------------------
 
 
@@ -362,31 +367,34 @@ class FeixParams:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
 
-#: Pauli words of the Feix blocks: the A<B block couples A_O to B_I
+#: Pauli words of the Feix plane, of weights q/12 (A<B) and (1 - q + eps)/4
 FEIX_WORDS_AB = ("IXXI", "IYYI", "IZZI")
 FEIX_WORD_BA = "ZIXZ"
 
 
-def feix_block_ab() -> HermitianOperator:
-    """(I + (XX + YY + ZZ on A_O,B_I)/3) / 4: a channel-like A<B process."""
-    return from_pauli_map({"IIII": 0.25, **dict.fromkeys(FEIX_WORDS_AB, 0.25 / 3)})
+def feix_min_eig(q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of W(q, eps) at each broadcast (q, eps), in closed form.
 
-
-def feix_block_ba() -> HermitianOperator:
-    """(I + ZIXZ) / 4: a B<A process."""
-    return from_pauli_map({"IIII": 0.25, FEIX_WORD_BA: 0.25})
+    The Z eigenvalues of A_I and B_O split the 16 basis states into four
+    sectors, each a copy of A_O x B_I.  On a sector IXXI + IYYI + IZZI =
+    2 SWAP - I and ZIXZ = sigma (I x X), with sigma the product of the two Z
+    eigenvalues.  X x X commutes with both and splits each sector into the
+    2 x 2 blocks [[2a, b], [b, 2a]] and [[2a, b], [b, -2a]] (plus 1/4 - a on
+    the diagonal), where a = q/12 and b = sigma (1 - q + eps)/4.  So the
+    smallest eigenvalue is 1/4 - a + min(2a - |b|, -sqrt(4a^2 + b^2)), for
+    every real q and eps.
+    """
+    a = q / 12.0
+    b = np.abs(1.0 - q + eps) / 4.0
+    return 0.25 - a + np.minimum(2.0 * a - b, -np.hypot(2.0 * a, b))
 
 
 def feix_process(p: FeixParams) -> ProcessMatrix:
-    """The affine Feix combination; PSD exactly when the parameters allow it.
+    """W(q, eps), PSD exactly where :func:`feix_min_eig` is non-negative.
 
-    The linear validity conditions hold identically (the combination is
-    affine with unit coefficient sum over operators that satisfy them), so
-    only positivity can fail; the validity report carries that status.
+    The words keep the identity on an output that cannot signal, so the
+    linear validity conditions hold for every (q, eps) and only positivity
+    can fail; the validity report carries that status.
     """
-    op = (
-        p.q * feix_block_ab()
-        + (1.0 - p.q + p.eps) * feix_block_ba()
-        - p.eps * (identity(CANONICAL_LABELS) * 0.25)
-    )
-    return as_process(op)
+    weights = {**dict.fromkeys(FEIX_WORDS_AB, p.q / 12.0), FEIX_WORD_BA: (1.0 - p.q + p.eps) / 4.0}
+    return as_process(from_pauli_map({"IIII": 0.25, **weights}))

@@ -26,7 +26,7 @@ from procmat.operators import (
     trace_replace,
 )
 from procmat.instruments import gyni_strategy
-from procmat.process import feix_block_ab, feix_block_ba, maximally_mixed, ocb_process
+from procmat.process import FeixParams, feix_process, maximally_mixed, ocb_process
 
 from conftest import random_hermitian
 from oracles import charpoly_min_eig, naive_trace_product, word_matrix
@@ -306,11 +306,11 @@ class TestBuiltinPauliMaps:
 
     def test_feix_block_ab(self):
         literal = {"IIII": 0.25, "IXXI": 1 / 12, "IYYI": 1 / 12, "IZZI": 1 / 12}
-        self.assert_map(feix_block_ab(), literal)
+        self.assert_map(feix_process(FeixParams(1.0, 0.0)).op, literal)
 
     def test_dyadic_maps_exact(self):
         assert to_pauli_map(maximally_mixed().op) == {"IIII": 0.25}
-        assert to_pauli_map(feix_block_ba()) == {"IIII": 0.25, "ZIXZ": 0.25}
+        assert to_pauli_map(feix_process(FeixParams(0.0, 0.0)).op) == {"IIII": 0.25, "ZIXZ": 0.25}
         for party in "AB":
             ops = gyni_strategy(party).operators
             assert {key: to_pauli_map(op) for key, op in ops.items()} == self.GYNI

@@ -41,8 +41,7 @@ from procmat.process import (
     InfeasibleParamsError,
     SepParams,
     block_matrix as block_pencil,
-    feix_block_ab,
-    feix_block_ba,
+    feix_min_eig,
     feix_process,
     sep_feasibility,
     separable_from_params,
@@ -468,6 +467,37 @@ class TestLineMaximize:
         with pytest.raises(ValueError, match="empty"):
             line_maximize(SepParams.zeros(), 1, (0.2, 0.1))
 
+    @pytest.mark.parametrize(
+        "coord, interval, feasible",
+        [
+            (COORD_C_0ZZ, (-1.0, 1.0), "(-0.25000000005, 0.25000000005)"),
+            (0, (-0.5, 1.5), "(0.0, 1.0)"),
+        ],
+    )
+    def test_interval_outside_the_feasible_one_rejected(self, coord, interval, feasible):
+        # unchecked, (-1, 1) on c_0zz returned argmax 0.75, where the A<B
+        # block's smallest eigenvalue is -0.5
+        z = SepParams.zeros()
+        expected = f"interval {interval} is not inside the feasible interval {feasible} of "
+        with pytest.raises(ValueError) as err:
+            line_maximize(z, coord, interval)
+        assert str(err.value) == expected + coord_name(coord)
+
+    def test_feasible_interval_and_sub_interval_unchanged(self):
+        # the check only rejects: inside the feasible interval the result is
+        # the line maximization itself, bit for bit
+        p = random_feasible_init(21)
+        cfg = OptimizerConfig()
+        engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
+        for coord in (0, 5, COORD_C_0ZZ, 44):
+            lo, hi = feasible_interval(p, coord)
+            for interval in ((lo, hi), (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)):
+                x = p.vector()
+                line = _line_fn(engine, partial(objective, cfg.objective), x, coord)
+                t, v = optimizer._line_max(line, float(x[coord]), *interval, cfg.line_tol, True)
+                value, argmax = line_maximize(p, coord, interval, cfg)
+                assert (value.hex(), argmax.hex()) == (float(v).hex(), float(t).hex())
+
 
 def _objective_at(p, objective="H_AB"):
     table = cond_probs(separable_from_params(p).mixture, gyni_strategy("A"), gyni_strategy("B"))
@@ -649,7 +679,7 @@ class TestFeixSectors:
         sector = np.array([(i >> 3, i & 1) for i in range(16)])
         same = (sector[:, None, :] == sector[None, :, :]).all(axis=-1)
         assert np.unique(sector, axis=0, return_counts=True)[1].tolist() == [4, 4, 4, 4]
-        for block in (feix_block_ab(), feix_block_ba()):
+        for block in (feix_process(FeixParams(1.0, 0.0)).op, feix_process(FeixParams(0.0, 0.0)).op):
             assert not block.matrix.imag.any()
             assert not block.matrix[~same].any()
             assert block.matrix[same].any()
@@ -661,7 +691,7 @@ class TestFeixSectors:
             top = engine.eps_bound(q, 1e-10)
             points += [(q, top - 1e-9), (q, top), (q, top + 1e-9)]
         for q, eps in points:
-            assert engine.min_eig(q, eps) == pytest.approx(self.plane_min_eig(q, eps), abs=1e-14)
+            assert feix_min_eig(q, eps) == pytest.approx(self.plane_min_eig(q, eps), abs=1e-14)
         # for q < 0 the minimum comes from the X x X = +1 block, 2a - |b|:
         # here q = -1 and eps = 0.5
         a, b = -1.0 / 12, (1.0 + 1.0 + 0.5) / 4
@@ -670,12 +700,12 @@ class TestFeixSectors:
 
     def test_min_eig_broadcasts(self, engine, rng):
         q, eps = rng.uniform(-1.0, 2.0, size=7), rng.uniform(-1.0, 3.0, size=5)
-        singles = np.array([[engine.min_eig(float(x), float(y)) for y in eps] for x in q])
-        assert np.ndim(engine.min_eig(0.5, 0.1)) == 0
-        grid = engine.min_eig(q[:, None], eps[None, :])
+        singles = np.array([[feix_min_eig(float(x), float(y)) for y in eps] for x in q])
+        assert np.ndim(feix_min_eig(0.5, 0.1)) == 0
+        grid = feix_min_eig(q[:, None], eps[None, :])
         assert grid.shape == (7, 5)
         np.testing.assert_array_equal(grid, singles)
-        row = engine.min_eig(q, float(eps[2]))
+        row = feix_min_eig(q, float(eps[2]))
         assert row.shape == (7,)
         np.testing.assert_array_equal(row, singles[:, 2])
 
@@ -686,7 +716,7 @@ class TestFeixSectors:
             top = engine.eps_bound(q, 1e-10)
             points += [(q, top), (q, min(top + 1e-9, 1.0001))]
         for q, eps in points:
-            assert engine.min_eig(q, eps) == pytest.approx(self.full_min_eig(q, eps), abs=1e-14)
+            assert feix_min_eig(q, eps) == pytest.approx(self.full_min_eig(q, eps), abs=1e-14)
 
     def test_eps_bound_endpoint_is_the_psd_edge(self, engine):
         for q in (0.0, 0.3, 0.77, 1.0):
@@ -703,7 +733,7 @@ class TestFeixSectors:
             + (1.0 - qq + ee)[..., None, None] * word_matrix("ZIXZ") / 4
         )
         full = np.linalg.eigvalsh(mats)[..., 0]
-        sector = engine.min_eig(qq, ee)
+        sector = feix_min_eig(qq, ee)
         assert np.abs(sector - full).max() <= 1e-14
         np.testing.assert_array_equal(sector >= -1e-10, full >= -1e-10)
 

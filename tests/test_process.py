@@ -8,6 +8,7 @@ import procmat.process as process
 from procmat.instruments import gyni_strategy, validate_instrument
 from procmat.operators import (
     CANONICAL_LABELS,
+    from_pauli_map,
     identity,
     min_eigenvalue,
     pauli_coeff,
@@ -25,8 +26,6 @@ from procmat.process import (
     InfeasibleParamsError,
     SepParams,
     block_min_eigs,
-    feix_block_ab,
-    feix_block_ba,
     feix_process,
     maximally_mixed,
     nonsignalling_part,
@@ -168,14 +167,15 @@ class TestSeparableFamily:
     def test_zero_params_give_maximally_mixed(self):
         triple = separable_from_params(SepParams.zeros())
         np.testing.assert_allclose(triple.mixture.op.matrix, np.eye(16) / 4, atol=1e-14)
-        assert triple.ordered_ab.valid and triple.ordered_ba.valid
+        assert validate_process(triple.ordered_ab).valid
+        assert validate_process(triple.ordered_ba).valid
 
     def test_single_coefficient_channel_like_block(self):
         c = np.zeros((4, 3, 3))
         c[0, 2, 2] = 0.25  # word I Z Z I at its extremal weight
         p = SepParams(1.0, c, np.zeros((3, 4, 3)))
         triple = separable_from_params(p)
-        assert min_eigenvalue(triple.ordered_ab.op) == pytest.approx(0.0, abs=1e-12)
+        assert min_eigenvalue(triple.ordered_ab) == pytest.approx(0.0, abs=1e-12)
         assert triple.mixture.valid
         assert triple.mixture.op.allclose(
             identity(CANONICAL_LABELS) * 0.25 + pauli_term("IZZI") * 0.25, tol=1e-13
@@ -189,8 +189,8 @@ class TestSeparableFamily:
     def test_blocks_are_valid_processes(self, rng):
         p = random_feasible_params(rng)
         triple = separable_from_params(p)
-        assert triple.ordered_ab.valid
-        assert triple.ordered_ba.valid
+        assert validate_process(triple.ordered_ab).valid
+        assert validate_process(triple.ordered_ba).valid
         assert triple.mixture.valid
 
     def test_infeasible_params_rejected_with_block_name(self):
@@ -270,12 +270,12 @@ class TestFeixFamily:
     def test_pure_ab_point(self):
         w = feix_process(FeixParams(1.0, 0.0))
         assert w.valid, w.report.lines()
-        assert w.op.allclose(feix_block_ab(), tol=1e-13)
+        assert w.op.allclose(feix_process(FeixParams(1.0, 0.0)).op, tol=1e-13)
 
     def test_pure_ba_point(self):
         w = feix_process(FeixParams(0.0, 0.0))
         assert w.valid
-        assert w.op.allclose(feix_block_ba(), tol=1e-13)
+        assert w.op.allclose(feix_process(FeixParams(0.0, 0.0)).op, tol=1e-13)
 
     def test_trace_four_for_any_params(self, rng):
         for _ in range(10):
@@ -396,3 +396,75 @@ class TestBlockPencil:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
         with pytest.raises(ValueError, match="psd_tol must be positive and finite"):
             separable_from_params(SepParams.from_flat_map({"c_0zz": 0.9}), tol)
+
+
+class TestValidatedOnce:
+    """``separable_from_params`` validates only the mixture it returns; its
+    blocks are valid by construction, and that claim is checked here."""
+
+    def test_one_validation_per_accepted_call(self, monkeypatch):
+        calls = []
+        original = process.validate_process
+
+        def spy(op):
+            calls.append(op)
+            return original(op)
+
+        monkeypatch.setattr(process, "validate_process", spy)
+        for seed in range(5):
+            triple = separable_from_params(random_feasible_init(seed))
+            assert len(calls) == seed + 1
+            assert calls[-1] is triple.mixture.op
+        with pytest.raises(InfeasibleParamsError):
+            separable_from_params(SepParams.from_flat_map({"c_0zz": 0.4}))
+        assert len(calls) == 5
+
+    def test_blocks_valid_at_random_feasible_starts(self):
+        for seed in range(50):
+            p = random_feasible_init(seed)
+            triple = separable_from_params(p)
+            for block in (triple.ordered_ab, triple.ordered_ba):
+                assert validate_process(block).valid, validate_process(block).lines()
+
+    def test_blocks_valid_at_interval_endpoints(self, rng):
+        # an endpoint leaves the moved block singular up to the endpoint slack
+        names = [name for name, _ in SEP_BLOCKS]
+        for seed in range(5):
+            p = random_feasible_init(400 + seed)
+            for k in rng.choice(np.arange(1, len(COORDINATES)), size=4, replace=False):
+                for end in feasible_interval(p, int(k)):
+                    x = p.vector()
+                    x[k] = end
+                    triple = separable_from_params(SepParams.from_vector(x))
+                    blocks = (triple.ordered_ab, triple.ordered_ba)
+                    moved = blocks[names.index(COORDINATES[k].block)]
+                    assert abs(min_eigenvalue(moved)) <= 1e-9
+                    for block in blocks:
+                        assert validate_process(block).valid, validate_process(block).lines()
+                    assert triple.mixture.valid
+
+
+class TestFeixPlaneMap:
+    """The Feix plane is one Pauli map, W(q, eps) = I/4 + q/12 (IXXI + IYYI
+    + IZZI) + (1 - q + eps)/4 ZIXZ."""
+
+    def test_process_is_the_literal_map(self, rng):
+        points = [(rng.uniform(0.01, 0.99), rng.uniform(0.0, 2.0)) for _ in range(20)]
+        points += [(rng.uniform(0.01, 0.99), 0.0) for _ in range(10)]
+        psd = [feix_process(FeixParams(q, eps)).valid for q, eps in points]
+        assert any(psd) and not all(psd)
+        for q, eps in points:
+            literal = {"IIII": 0.25, "IXXI": q / 12, "IYYI": q / 12, "IZZI": q / 12}
+            literal["ZIXZ"] = (1 - q + eps) / 4
+            mapping = to_pauli_map(feix_process(FeixParams(q, eps)).op)
+            assert mapping.keys() == literal.keys()
+            for word, value in literal.items():
+                assert abs(mapping[word] - value) <= 1e-15
+
+    def test_corner_points_equal_the_fixed_order_blocks_bitwise(self):
+        ab = from_pauli_map({"IIII": 0.25, "IXXI": 0.25 / 3, "IYYI": 0.25 / 3, "IZZI": 0.25 / 3})
+        ba = from_pauli_map({"IIII": 0.25, "ZIXZ": 0.25})
+        for (q, eps), block in (((1.0, 0.0), ab), ((0.0, 0.0), ba)):
+            point = feix_process(FeixParams(q, eps))
+            assert point.valid
+            assert point.op.matrix.tobytes() == block.matrix.tobytes()
