@@ -153,12 +153,16 @@ def _parse_inputs(data, shape) -> InputDist:
     if isinstance(data, list):
         probs = np.asarray(data, dtype=float)
     elif isinstance(data, dict):
-        probs = np.zeros((2, 2))
+        probs = np.zeros(shape)
+        # one digit each for x and y, so that a key names one cell
+        n_x, n_y = min(shape[0], 10), min(shape[1], 10)
+        cells = {f"{x}{y}": (x, y) for x in range(n_x) for y in range(n_y)}
         for key, value in data.items():
             key = str(key)
-            if len(key) != 2 or not set(key) <= {"0", "1"}:
-                raise ValueError(f"bad input key {key!r}: expected 'xy' with x, y in 0, 1")
-            probs[int(key[0]), int(key[1])] = float(value)
+            if key not in cells:
+                expected = f"expected 'xy' with x in 0..{n_x - 1}, y in 0..{n_y - 1}"
+                raise ValueError(f"bad input key {key!r}: {expected}")
+            probs[cells[key]] = float(value)
     else:
         raise ValueError("expected a list or object")
     if probs.shape != shape:
@@ -478,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--seed", type=int, default=OptimizerConfig().seed)
     optimize.add_argument("--tol", type=float, default=1e-6, help="sweep termination tolerance")
     optimize.add_argument("--objective", choices=list(OBJECTIVES), default="H_AB")
-    optimize.add_argument("--jobs", type=int, default=1, help="parallel restart processes")
+    optimize.add_argument(
+        "--jobs", type=int, default=1, help="parallel restart processes (at most one per restart)"
+    )
     optimize.add_argument("--out", help="result JSON path (default optimize_<mode>.json)")
     optimize.add_argument("--trace", help="per-sweep objective CSV path")
     optimize.add_argument(

@@ -38,10 +38,10 @@ order.  The generator is numpy's default PCG64.  Each restart's
 
 The Feix plane W(q, eps) is stated once, in ``process``: its words
 ``FEIX_WORDS_AB``/``FEIX_WORD_BA`` and its closed-form smallest eigenvalue
-``feix_min_eig``, so every feasibility test on the plane (grid, eps bound,
-q interval) is a few flops, with no eigensolve.  The 101 x 101 grid is one
-vectorized evaluation of that formula and one ``stats.objective`` call on
-the stacked joints of its feasible points.
+``feix_min_eig`` and edges ``feix_eps_max``/``feix_q_range``, so every
+feasibility test on the plane is a few flops, with no eigensolve or search.
+The 101 x 101 grid is one vectorized evaluation of that formula and one
+``stats.objective`` call on the stacked joints of its feasible points.
 
 A coordinate's one address is its index k in ``process.COORDINATES`` (q, then
 the 36 + 36 block coefficients): the search point is the vector x of
@@ -75,7 +75,9 @@ from .process import (
     SepParams,
     block_matrix,
     block_min_eigs,
+    feix_eps_max,
     feix_min_eig,
+    feix_q_range,
     require_feasible,
 )
 from .stats import CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective, party_table
@@ -627,10 +629,10 @@ def _run_restart(args) -> tuple[RestartRecord, SepParams, tuple[float, ...] | No
 def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerResult:
     """Best of ``cfg.restarts`` independent ascent runs, seeds seed, seed+1, ...
 
-    Restarts may execute in parallel (``jobs`` processes); the reduction is
-    order-independent, with ties broken by the lowest restart index, so the
-    result is a deterministic function of the configuration alone.
-    ``jobs`` below 1 is a ValueError.
+    Restarts may execute in parallel (``jobs`` processes, but no more than
+    there are restarts); the reduction is order-independent, with ties
+    broken by the lowest restart index, so the result is a deterministic
+    function of the configuration alone.  ``jobs`` below 1 is a ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -640,7 +642,7 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
         # imported here, so that importing the package does not load the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.restarts)) as pool:
             outcomes = list(pool.map(_run_restart, work))
     else:
         outcomes = [_run_restart(item) for item in work]
@@ -665,14 +667,11 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
 # ---------------------------------------------------------------------------
 
 _FEIX_GRID_STEP = 0.01
-#: the eps and q brackets are at most 1.0001 wide: 1.0001 / 2^31 < 5e-10
-_FEIX_BISECTION_STEPS = 31
 
 
 class _FeixEngine:
     """The joint distribution over the Feix plane of ``process.feix_process``,
-    from the ``_Engine`` rows of its words, and its feasible edges, from
-    ``process.feix_min_eig``."""
+    from the ``_Engine`` rows of its words."""
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
         engine = _Engine(instrument_a, instrument_b, inputs)
@@ -690,46 +689,6 @@ class _FeixEngine:
         eps = np.asarray(eps)[..., None, None]
         return self._base + q * self._inc_sym + (1.0 - q + eps) * self._inc_ba
 
-    @staticmethod
-    def eps_bound(q: float, psd_tol: float) -> float:
-        """Largest feasible eps at fixed q, by bisection on the smallest
-        eigenvalue; -1 when eps = 0 is infeasible."""
-        if feix_min_eig(q, 0.0) < -psd_tol:
-            return -1.0
-        return _bisect_edge(lambda eps: feix_min_eig(q, eps) >= -psd_tol, 0.0, 1.0001)
-
-    @staticmethod
-    def q_interval(q0: float, eps: float, psd_tol: float) -> tuple[float, float]:
-        """Feasible q interval at fixed eps around the feasible q0, by bisection
-        outward from q0 on each side."""
-        def feasible(q: float) -> bool:
-            return 0.0 <= q <= 1.0 and feix_min_eig(q, eps) >= -psd_tol
-
-        low, high = (_bisect_edge(feasible, q0, 0.5 + sign * 0.5001) for sign in (-1.0, 1.0))
-        return min(low, q0), max(high, q0)
-
-
-def _bisect_edge(feasible: Callable[[float], bool], lo: float, hi: float) -> float:
-    """The feasible end of the bracket from the feasible ``lo`` to the
-    infeasible ``hi`` (either side) after ``_FEIX_BISECTION_STEPS`` halvings.
-
-    On the Feix plane each edge is the root of a quadratic in eps or q, but
-    the root is not taken in closed form.  At the exact root of
-    feix_min_eig = -psd_tol the 16 x 16 eigensolve of the process reads up to
-    2.7e-16 below -psd_tol (over 1001 values of q), so that endpoint would
-    not re-check as feasible.  A root of feix_min_eig = -psd_tol / 2 instead
-    falls short of the edge where it is flat: at q = 1 the 16 x 16 smallest
-    eigenvalue 1e-8 beyond that root in eps is still -5.0e-11.  The bisection
-    keeps a point that tests feasible, within 5e-10 of the edge.
-    """
-    for _ in range(_FEIX_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
 
 def feix_maximize(
     cfg: OptimizerConfig | None = None,
@@ -740,36 +699,36 @@ def feix_maximize(
     is one vectorized evaluation of the closed-form smallest eigenvalue
     ``process.feix_min_eig``, and the objective at all feasible points is one
     ``stats.objective`` call on their stacked joints; the first maximum in
-    row-major (q, eps) order wins.  Coordinate golden-section refinement, with
-    the q and eps intervals found by bisection on that smallest eigenvalue,
-    polishes it.
+    row-major (q, eps) order wins.  Coordinate golden-section refinement
+    polishes it, between the edges ``process.feix_q_range`` and
+    ``feix_eps_max`` at -_ENDPOINT_SLACK * psd_tol, as in :func:`_line_interval`.
     """
     cfg = cfg or OptimizerConfig()
     value = partial(objective, cfg.objective)
     eng = _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
 
-    qs = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
-    eps = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
-    qq, ee = np.meshgrid(qs, eps, indexing="ij")
+    steps = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
+    qq, ee = np.meshgrid(steps, steps, indexing="ij")
     feasible = feix_min_eig(qq, ee) >= -cfg.psd_tol
     q_grid, e_grid = qq[feasible], ee[feasible]
     grid_values = value(eng.joint(q_grid, e_grid))
     k = int(np.argmax(grid_values))
     best_q, best_e, best_v = float(q_grid[k]), float(e_grid[k]), float(grid_values[k])
 
+    slack = _ENDPOINT_SLACK * cfg.psd_tol
     for _ in range(60):
         moved = 0.0
-        lo_q, hi_q = eng.q_interval(best_q, best_e, cfg.psd_tol)
+        lo_q, hi_q = feix_q_range(best_e, slack) or (best_q, best_q)
+        lo_q, hi_q = min(lo_q, best_q), max(hi_q, best_q)
         tq, vq = _golden_max(lambda t: value(eng.joint(t, best_e)), lo_q, hi_q, cfg.line_tol)
         if vq > best_v:
             moved = max(moved, abs(tq - best_q))
             best_q, best_v = tq, vq
-        top = eng.eps_bound(best_q, cfg.psd_tol)
-        if top >= 0.0:
-            te, ve = _golden_max(lambda t: value(eng.joint(best_q, t)), 0.0, top, cfg.line_tol)
-            if ve > best_v:
-                moved = max(moved, abs(te - best_e))
-                best_e, best_v = te, ve
+        top = feix_eps_max(best_q, slack)
+        te, ve = _golden_max(lambda t: value(eng.joint(best_q, t)), 0.0, top, cfg.line_tol)
+        if ve > best_v:
+            moved = max(moved, abs(te - best_e))
+            best_e, best_v = te, ve
         if moved < cfg.line_tol * 10:
             break
     return FeixParams(best_q, best_e), best_v

@@ -28,3 +28,29 @@ def random_canonical(rng):
         return random_hermitian(rng, 16)
 
     return make
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Puts an in-process stand-in for ``ProcessPoolExecutor`` into
+    ``concurrent.futures`` and returns the list of ``max_workers`` values it
+    was built with, so a pool's size can be checked without starting it."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes

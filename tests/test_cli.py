@@ -197,6 +197,53 @@ class TestEntropy:
         doc = json.loads(out)
         assert doc["entropies"]["H_AB"] == pytest.approx(1.8456526640405408, abs=1e-10)
 
+    @staticmethod
+    def three_input_instruments(tmp_path):
+        from procmat.instruments import instrument_to_pauli_maps
+
+        alice = instrument_to_pauli_maps(gyni_strategy("A"))
+        # input 2 measures Z and sends the outcome, as input 1 does
+        alice.update({"2,0": alice["1,0"], "2,1": alice["1,1"]})
+        path = tmp_path / "instruments.json"
+        path.write_text(
+            json.dumps({"A": alice, "B": instrument_to_pauli_maps(gyni_strategy("B"))})
+        )
+        return path
+
+    def test_inputs_file_sized_by_the_instruments(self, capsys, tmp_path):
+        instruments = self.three_input_instruments(tmp_path)
+        table = [[0.1, 0.2], [0.05, 0.15], [0.3, 0.2]]
+        as_list = tmp_path / "list.json"
+        as_list.write_text(json.dumps(table))
+        as_dict = tmp_path / "dict.json"
+        as_dict.write_text(
+            json.dumps({f"{x}{y}": table[x][y] for x in range(3) for y in range(2)})
+        )
+        docs = []
+        for path in (as_list, as_dict):
+            code, out, err = run_cli(
+                capsys, "entropy", "ocb", "--instruments", str(instruments),
+                "--inputs", str(path), "--format", "json",
+            )
+            assert code == 0, err
+            doc = json.loads(out)
+            doc.pop("manifest")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert {key.split(",")[2] for key in docs[0]["cond_probs"]} == {"0", "1", "2"}
+
+    @pytest.mark.parametrize("key", ["30", "02", "2"])
+    def test_inputs_key_outside_sized_table_exit_2(self, capsys, tmp_path, key):
+        instruments = self.three_input_instruments(tmp_path)
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps({"20": 0.5, key: 0.5}))
+        code, out, err = run_cli(
+            capsys, "entropy", "ocb", "--instruments", str(instruments), "--inputs", str(path)
+        )
+        assert code == 2
+        assert "inputs.json" in err and repr(key) in err and "x in 0..2, y in 0..1" in err
+        assert out == ""
+
     @pytest.mark.parametrize("key", ["22", "20"])
     def test_inputs_key_outside_table_exit_2(self, capsys, tmp_path, key):
         path = tmp_path / "inputs.json"
@@ -372,6 +419,22 @@ class TestOptimize:
         assert doc["reference"]["value"] == pytest.approx(1.8456526640405408, abs=1e-10)
         assert set(doc["best_params"]) > {"q", "c_0xx", "cp_zzz"}
         assert "verdict" in doc
+
+    def test_jobs_above_restarts_start_one_worker_per_restart(
+        self, capsys, tmp_path, recording_pool
+    ):
+        args = ["optimize", "sep", "--restarts", "2", "--seed", "7", "--tol", "1e-2"]
+        docs = []
+        for jobs in ("64", "1"):
+            out_path = tmp_path / f"sep_{jobs}.json"
+            code, _, _ = run_cli(capsys, *args, "--jobs", jobs, "--out", str(out_path))
+            assert code == 0
+            docs.append(json.loads(out_path.read_text()))
+        assert recording_pool == [2]
+        pooled, serial = docs
+        assert pooled["manifest"]["config"]["jobs"] == 64
+        for key in ("restarts", "best_params", "best_value"):
+            assert pooled[key] == serial[key]
 
     def test_trace_file(self, capsys, tmp_path):
         out_path = tmp_path / "sep.json"

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 import procmat.optimizer as optimizer
-from procmat.instruments import gyni_strategy, instrument_from_pauli_maps, instrument_to_pauli_maps
-from procmat.operators import CANONICAL_LABELS, PAULI_LETTERS, from_pauli_map
+from procmat.instruments import (
+    PARTY_LABELS,
+    Instrument,
+    gyni_strategy,
+    instrument_from_pauli_maps,
+    instrument_to_pauli_maps,
+)
+from procmat.operators import CANONICAL_LABELS, PAULI_LETTERS, HermitianOperator, from_pauli_map
 from procmat.optimizer import (
     N_COORDS,
     OBJECTIVES,
@@ -27,6 +33,7 @@ from procmat.optimizer import (
     feix_eps_inert,
     feix_maximize,
     line_maximize,
+    separable_floor,
     multistart,
     random_feasible_init,
 )
@@ -41,8 +48,10 @@ from procmat.process import (
     InfeasibleParamsError,
     SepParams,
     block_matrix as block_pencil,
+    feix_eps_max,
     feix_min_eig,
     feix_process,
+    feix_q_range,
     sep_feasibility,
     separable_from_params,
 )
@@ -374,6 +383,16 @@ class TestCenteringRecord:
         cfg = small_cfg(restarts=2, sweep_tol=1e-2)
         assert multistart(cfg, jobs=1).records == multistart(cfg, jobs=2).records
 
+    @pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2)])
+    def test_pool_has_at_most_one_worker_per_restart(self, recording_pool, jobs, workers):
+        cfg = small_cfg(restarts=3, sweep_tol=1e-2)
+        pooled = multistart(cfg, jobs=jobs)
+        assert recording_pool == [workers]
+        serial = multistart(cfg, jobs=1)
+        assert recording_pool == [workers]
+        assert pooled.records == serial.records
+        assert pooled.best_params.to_flat_map() == serial.best_params.to_flat_map()
+
 
 class TestAffineLine:
     """The ascent's line objective runs on the affine joint j0 + (t - t0) d."""
@@ -688,7 +707,7 @@ class TestFeixSectors:
         qs, epss = np.linspace(-1.0, 2.0, 31), np.linspace(-1.0, 3.0, 41)
         points = [(q, eps) for q in qs for eps in epss]
         for q in (0.0, 0.3, 0.77, 1.0):
-            top = engine.eps_bound(q, 1e-10)
+            top = feix_eps_max(q, 1e-10)
             points += [(q, top - 1e-9), (q, top), (q, top + 1e-9)]
         for q, eps in points:
             assert feix_min_eig(q, eps) == pytest.approx(self.plane_min_eig(q, eps), abs=1e-14)
@@ -713,16 +732,51 @@ class TestFeixSectors:
         points = [(1.0, 0.0), (0.0, 0.0), (0.5, 0.0)]
         points += [(rng.uniform(), rng.uniform(0.0, 1.2)) for _ in range(40)]
         for q in (0.0, 0.3, 0.77, 1.0):
-            top = engine.eps_bound(q, 1e-10)
+            top = feix_eps_max(q, 1e-10)
             points += [(q, top), (q, min(top + 1e-9, 1.0001))]
         for q, eps in points:
             assert feix_min_eig(q, eps) == pytest.approx(self.full_min_eig(q, eps), abs=1e-14)
 
     def test_eps_bound_endpoint_is_the_psd_edge(self, engine):
         for q in (0.0, 0.3, 0.77, 1.0):
-            top = engine.eps_bound(q, 1e-10)
+            # the optimizer's endpoint, at -psd_tol / 2, re-checks as feasible
+            top = feix_eps_max(q, 0.5e-10)
+            assert feix_min_eig(q, top) == pytest.approx(-0.5e-10, abs=1e-15)
             assert self.full_min_eig(q, top) >= -1e-10
-            assert self.full_min_eig(q, top + 1e-8) < -1e-10
+            # the -psd_tol edge lies within 1e-8 of the PSD edge
+            edge = feix_eps_max(q, 1e-10)
+            assert feix_min_eig(q, edge) == pytest.approx(-1e-10, abs=1e-15)
+            assert self.full_min_eig(q, edge + 1e-8) < -1e-10
+
+    def test_eps_edge_is_never_below_the_separable_edge(self):
+        qs = np.linspace(0.0, 1.0, 2001)
+        assert qs[0] == 0.0 and qs[-1] == 1.0
+        assert (feix_min_eig(qs, 0.0) >= 0.0).all()
+        for slack in (0.0, 0.5e-10, 1e-10):
+            assert min(feix_eps_max(float(q), slack) for q in qs) >= 0.0
+        assert feix_eps_max(0.0, 0.0) == feix_eps_max(1.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("slack", [0.5e-10, 1e-10])
+    def test_q_range_matches_the_mask(self, slack):
+        qs = np.linspace(0.0, 1.0, 2001)
+        epss = np.linspace(0.0, 0.5, 251)
+        empty = 0
+        for eps in epss:
+            mask = feix_min_eig(qs, eps) >= -slack
+            span = feix_q_range(float(eps), slack)
+            if span is None:
+                empty += 1
+                assert not mask.any()
+                continue
+            lo, hi = span
+            assert 0.0 <= lo <= hi <= 1.0
+            np.testing.assert_array_equal((qs >= lo) & (qs <= hi), mask)
+            for end in span:
+                if 0.0 < end < 1.0:
+                    assert feix_min_eig(end, eps) == pytest.approx(-slack, abs=1e-15)
+        # the range closes just above eps = 4/sqrt(3) - 2
+        assert empty == int(np.sum(epss > 4.0 / np.sqrt(3.0) - 2.0))
+        assert feix_q_range(0.0, slack) == (0.0, 1.0)
 
     def test_grid_feasibility_mask_matches_full_eigensolve(self, engine):
         grid = np.arange(0.0, 1.0 + 1e-12, 0.01)
@@ -923,11 +977,46 @@ class TestFeixPlaneRows:
         assert engine._inc_ba.any()
         for _ in range(20):
             q = rng.uniform()
-            eps = rng.uniform(0.0, engine.eps_bound(q, 1e-10))
+            eps = rng.uniform(0.0, feix_eps_max(q, 1e-10))
             table = cond_probs(feix_process(FeixParams(q, eps)), alice, bob)
             np.testing.assert_allclose(
                 engine.joint(q, eps), joint_dist(table, inputs), rtol=0, atol=1e-14
             )
+
+
+def _measure_and_prepare(rng, party):
+    # a random projective measurement on the input, then a random state sent
+    # out per outcome: PSD and trace preserving
+    ops = {}
+    for x in (0, 1):
+        basis, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        for a in (0, 1):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            state = h @ h.conj().T
+            mat = np.kron(np.outer(basis[:, a], basis[:, a].conj()), state / np.trace(state).real)
+            ops[(x, a)] = HermitianOperator(PARTY_LABELS[party], (mat + mat.conj().T) / 2)
+    return Instrument(party, ops)
+
+
+class TestFeixOffTheSeparableEdge:
+    """Seeded measure-and-prepare instruments under which eps moves the joint
+    and the Feix plane's I_AB optimum lies at eps > 0.01 (from 0.1 to 0.3,
+    with q from 0.23 to 0.99), on the PSD edge: feix_min_eig reads below
+    1e-8 there."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 8, 14])
+    def test_optimum_off_the_edge_validates_and_recomputes(self, seed):
+        rng = np.random.default_rng(seed)
+        alice, bob = _measure_and_prepare(rng, "A"), _measure_and_prepare(rng, "B")
+        cfg = OptimizerConfig(objective="I_AB", instrument_a=alice, instrument_b=bob)
+        assert not feix_eps_inert(cfg)
+        params, value = feix_maximize(cfg)
+        assert params.eps > 0.01
+        process = feix_process(params)
+        assert process.valid
+        recomputed = objective("I_AB", joint_dist(cond_probs(process, alice, bob), cfg.inputs))
+        assert value == pytest.approx(recomputed, abs=1e-12)
+        assert value > separable_floor(cfg)
 
 
 class TestFinalBlockSlack:
