@@ -90,8 +90,8 @@ def _read(path: str, parse, object_of: str | None = None):
     try:
         with open(path) as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
-    except FileNotFoundError:
-        raise FileFormatError(f"cannot read {path}: no such file") from None
+    except OSError as err:
+        raise FileFormatError(f"cannot read {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise FileFormatError(f"cannot parse {path}: {err}") from None
     except ValueError as err:
@@ -340,7 +340,6 @@ def cmd_optimize(args) -> int:
         instrument_a=ins_a,
         instrument_b=ins_b,
         inputs=inputs,
-        record_trace=bool(args.trace),
     )
     out_dir = Path(os.environ.get("PROCMAT_OUT_DIR", "."))
     out_path = Path(args.out) if args.out else out_dir / f"optimize_{args.mode}.json"

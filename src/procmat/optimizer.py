@@ -69,9 +69,7 @@ from .process import (
     COORDINATES,
     FEIX_WORD_BA,
     FEIX_WORDS_AB,
-    SEP_BLOCKS,
     FeixParams,
-    InfeasibleParamsError,
     SepParams,
     block_matrix,
     block_min_eigs,
@@ -147,7 +145,6 @@ class OptimizerConfig:
     inputs: InputDist = field(default_factory=InputDist.uniform)
     coords: tuple[int, ...] | None = None
     base_params: SepParams | None = None
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -198,7 +195,8 @@ class OptimizerResult:
     best_value: float
     best_restart: int
     records: tuple[RestartRecord, ...]
-    traces: tuple[tuple[float, ...], ...] | None = None
+    #: each restart's objective after centering and after every sweep
+    traces: tuple[tuple[float, ...], ...]
 
 
 class _Engine:
@@ -263,7 +261,7 @@ def _coord_line(x: np.ndarray, coord: int) -> tuple[np.ndarray, np.ndarray, floa
 
 
 def _line_interval(
-    block: np.ndarray, word: np.ndarray, t0: float, psd_tol: float, name: str
+    block: np.ndarray, word: np.ndarray, t0: float, psd_tol: float
 ) -> tuple[float, float]:
     """Closed form of the feasible interval of the line A + (t - t0) P.
 
@@ -283,11 +281,11 @@ def _line_interval(
     compression to the range of B.  Eigenvalues of B below 0 (an incumbent
     between -psd_tol and -tau) are clamped to 0, which moves the endpoints'
     smallest eigenvalue by at most psd_tol - tau.  The interval always
-    contains t0.
+    contains t0.  The incumbent is not re-checked: every public entry has
+    passed it through ``process.require_feasible``, and accepted moves stay
+    inside intervals like this one.
     """
     lam, vecs = np.linalg.eigh(block)
-    if lam[0] < -psd_tol:
-        raise InfeasibleParamsError(name, float(lam[0]))
     root = np.sqrt(np.maximum(lam + _ENDPOINT_SLACK * psd_tol, 0.0))
     compressed = root[:, None] * (vecs.conj().T @ word @ vecs) * root[None, :]
     nu = np.linalg.eigvalsh(compressed)
@@ -297,7 +295,7 @@ def _line_interval(
 def _interval_of(x: np.ndarray, coord: int, psd_tol: float) -> tuple[float, float]:
     if coord == 0:
         return (0.0, 1.0)
-    return _line_interval(*_coord_line(x, coord), psd_tol, COORDINATES[coord].block)
+    return _line_interval(*_coord_line(x, coord), psd_tol)
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -367,9 +365,8 @@ def random_feasible_init(
     The base must be feasible; then the halving loop terminates, since the
     drawn coefficients shrink towards it.  Deterministic function of seed.
     """
-    require_positive_finite("psd_tol", psd_tol)
     x = (base if base is not None else SepParams.zeros()).vector()
-    require_feasible(*block_min_eigs(x), psd_tol)
+    require_feasible(x, psd_tol)
     rng = np.random.default_rng(seed)
     if 0 in coords:
         x[0] = rng.uniform()
@@ -386,15 +383,18 @@ def feasible_interval(
     params: SepParams, coord: int, psd_tol: float = VALIDITY_TOL
 ) -> tuple[float, float]:
     """The closed interval of values of one coordinate keeping the search
-    point feasible (its block PSD; q confined to [0, 1]).
+    point feasible (its block PSD; q confined to [0, 1]).  The point must be
+    feasible: either block's infeasibility raises
+    :class:`~procmat.process.InfeasibleParamsError`, for every coordinate.
 
     Endpoints are closed-form (one eigh and one eigvalsh of 8 x 8 matrices):
     the block's smallest eigenvalue there is -psd_tol / 2 up to roundoff
     (below 1e-15), so they re-check as feasible at ``psd_tol``.
     """
     _require_coord(coord)
-    require_positive_finite("psd_tol", psd_tol)
-    return _interval_of(params.vector(), coord, psd_tol)
+    x = params.vector()
+    require_feasible(x, psd_tol)
+    return _interval_of(x, coord, psd_tol)
 
 
 def line_maximize(
@@ -411,7 +411,9 @@ def line_maximize(
     exact to ``line_tol``; for the mutual-information objective a coarse grid
     seeds the golden stage and no global-optimality guarantee is made.
     An ``interval`` not inside the coordinate's feasible interval
-    (:func:`feasible_interval` at ``cfg.psd_tol``) is a ValueError.
+    (:func:`feasible_interval` at ``cfg.psd_tol``) is a ValueError, and, as
+    there, either block's infeasibility raises
+    :class:`~procmat.process.InfeasibleParamsError`, for every coordinate.
     """
     cfg = cfg or OptimizerConfig()
     _require_coord(coord)
@@ -421,6 +423,7 @@ def line_maximize(
     if hi < lo:
         raise ValueError(f"empty interval: {interval}")
     x = params.vector()
+    require_feasible(x, cfg.psd_tol)
     feasible = _interval_of(x, coord, cfg.psd_tol)
     if lo < feasible[0] or hi > feasible[1]:
         raise ValueError(
@@ -524,8 +527,8 @@ def _center_unranked(x: np.ndarray, engine: _Engine, cfg: OptimizerConfig) -> tu
     Iterated until the flat set stops moving (stop ``converged``), at most
     ``_CENTERING_MAX_PASSES`` passes (stop ``pass_cap``); returns (passes,
     stop).  Each accepted move strictly increases the block's smallest
-    eigenvalue, so it keeps a feasible point feasible, and the objective value
-    is unchanged by construction.
+    eigenvalue, so it keeps a feasible point feasible (the caller has checked
+    it), and the objective value is unchanged by construction.
 
     Each block is built and solved once; after that its matrix and eigh are
     carried from line to line.  An accepted move replaces them by the probe
@@ -537,10 +540,7 @@ def _center_unranked(x: np.ndarray, engine: _Engine, cfg: OptimizerConfig) -> tu
     carried = {}
     for block in dict.fromkeys(map(_block_of, coords)):
         matrix = block_matrix(x, block)
-        eig = np.linalg.eigh(matrix)
-        if eig[0][0] < -cfg.psd_tol:
-            raise InfeasibleParamsError(SEP_BLOCKS[block][0], float(eig[0][0]))
-        carried[block] = matrix, eig
+        carried[block] = matrix, np.linalg.eigh(matrix)
     for passes in range(1, _CENTERING_MAX_PASSES + 1):
         moved = 0.0
         for coord in coords:
@@ -573,7 +573,7 @@ def _ascend(
         return objective(cfg.objective, joint)
 
     x = init.vector()
-    require_feasible(*block_min_eigs(x), cfg.psd_tol)
+    require_feasible(x, cfg.psd_tol)
 
     concave = cfg.objective in CONCAVE_OBJECTIVES
     centering = _center_unranked(x, engine, cfg)
@@ -617,13 +617,13 @@ def coordinate_ascent(
     return params, value, sweeps
 
 
-def _run_restart(args) -> tuple[RestartRecord, SepParams, tuple[float, ...] | None]:
+def _run_restart(args) -> tuple[RestartRecord, SepParams, tuple[float, ...]]:
     cfg, restart = args
     seed = cfg.seed + restart
     init = random_feasible_init(seed, cfg.psd_tol, cfg.active_coords(), cfg.base_params)
     params, value, trace, fields = _ascend(init, cfg)
     record = RestartRecord(restart, seed, value, *fields)
-    return record, params, trace if cfg.record_trace else None
+    return record, params, trace
 
 
 def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerResult:
@@ -652,13 +652,12 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
     for record, params, _ in outcomes:
         if record.value > best_value:
             best_restart, best_value, best_params = record.restart, record.value, params
-    traces = tuple(trace for _, _, trace in outcomes) if cfg.record_trace else None
     return OptimizerResult(
         best_params=best_params,
         best_value=best_value,
         best_restart=best_restart,
         records=records,
-        traces=traces,
+        traces=tuple(trace for _, _, trace in outcomes),
     )
 
 

@@ -190,11 +190,6 @@ def _coordinate_table() -> tuple[Coordinate, ...]:
 COORDINATES = _coordinate_table()
 _COORD_INDEX = {coord.name: k for k, coord in enumerate(COORDINATES)}
 
-#: 4-letter Pauli words of the A<B block, in c-array (alpha, i, j) order.
-SEP_WORDS_AB = tuple(coord.word for coord in COORDINATES if coord.block == "A<B")
-#: 4-letter Pauli words of the B<A block, in c_prime-array (i, alpha, j) order.
-SEP_WORDS_BA = tuple(coord.word for coord in COORDINATES if coord.block == "B<A")
-
 #: The block pencil: a fixed-order block is the identity on one factor times
 #: B_b(x) = I/4 + sum_{k in BLOCK_SPANS[b]} x_k BLOCK_WORDS[k] on the other
 #: three, so the family is feasible where both 8 x 8 pencils are PSD.
@@ -219,6 +214,15 @@ def block_matrix(x: np.ndarray, b: int) -> np.ndarray:
     at the coordinate vector ``x``."""
     span = BLOCK_SPANS[b]
     return _EYE8 / 4.0 + np.tensordot(x[span], BLOCK_WORDS[span], axes=(0, 0))
+
+
+def block_operator(x: np.ndarray, b: int) -> HermitianOperator:
+    """The 16 x 16 block ``b`` at ``x``, the twin of :func:`block_matrix`:
+    W^{A<B} (b = 0, identity on B_O, so Bob cannot signal to Alice) or
+    W^{B<A} (b = 1, identity on A_O)."""
+    span = BLOCK_SPANS[b]
+    words = (coord.word for coord in COORDINATES[span])
+    return from_pauli_map({"IIII": 0.25, **dict(zip(words, x[span].tolist()))})
 
 
 def block_min_eigs(x: np.ndarray) -> tuple[float, float]:
@@ -297,29 +301,18 @@ class SepParams:
         return cls.from_vector(values)
 
 
-def _block_operator(words: tuple[str, ...], coeffs: np.ndarray) -> HermitianOperator:
-    return from_pauli_map({"IIII": 0.25, **dict(zip(words, coeffs.ravel().tolist()))})
-
-
-def ordered_block_ab(p: SepParams) -> HermitianOperator:
-    """W^{A<B}: identity on B_O, so Bob cannot signal to Alice."""
-    return _block_operator(SEP_WORDS_AB, p.c)
-
-
-def ordered_block_ba(p: SepParams) -> HermitianOperator:
-    """W^{B<A}: identity on A_O, so Alice cannot signal to Bob."""
-    return _block_operator(SEP_WORDS_BA, p.c_prime)
-
-
 def sep_feasibility(p: SepParams) -> tuple[float, float]:
     """Minimum eigenvalues of the two fixed-order blocks, from their pencils."""
     return block_min_eigs(p.vector())
 
 
-def require_feasible(min_eig_ab: float, min_eig_ba: float, psd_tol: float):
-    """Raise :class:`InfeasibleParamsError` for the first fixed-order block
-    whose smallest eigenvalue is below -psd_tol."""
-    for (block, _), min_eig in zip(SEP_BLOCKS, (min_eig_ab, min_eig_ba)):
+def require_feasible(x: np.ndarray, psd_tol: float):
+    """The separable family's one feasibility rule: raise
+    :class:`InfeasibleParamsError` for the first fixed-order block whose
+    pencil at the coordinate vector ``x`` has its smallest eigenvalue below
+    -psd_tol.  ``psd_tol`` is checked first, before any eigensolve."""
+    require_positive_finite("psd_tol", psd_tol)
+    for (block, _), min_eig in zip(SEP_BLOCKS, block_min_eigs(x)):
         if min_eig < -psd_tol:
             raise InfeasibleParamsError(block, min_eig)
 
@@ -334,16 +327,16 @@ class SeparableTriple:
 def separable_from_params(p: SepParams, psd_tol: float = VALIDITY_TOL) -> SeparableTriple:
     """Build W^{A<B}, W^{B<A}, and their q-mixture; reject infeasible params.
 
-    Rejection names the offending block and its most-negative eigenvalue,
-    read from the block pencils before any 16 x 16 operator is built.  Only
+    Either block's infeasibility raises (:func:`require_feasible`), naming
+    the first infeasible block and its most-negative eigenvalue, read from
+    the block pencils before any 16 x 16 operator is built.  Only
     the mixture is validated.  The blocks need no report: their words keep
     the identity on the output that cannot signal, their trace is exactly 4,
     and the pencils have just shown them PSD to within ``psd_tol``.
     """
-    require_positive_finite("psd_tol", psd_tol)
-    require_feasible(*sep_feasibility(p), psd_tol)
-    block_ab = ordered_block_ab(p)
-    block_ba = ordered_block_ba(p)
+    x = p.vector()
+    require_feasible(x, psd_tol)
+    block_ab, block_ba = (block_operator(x, b) for b in range(len(SEP_BLOCKS)))
     mixture = p.q * block_ab + (1.0 - p.q) * block_ba
     return SeparableTriple(block_ab, block_ba, as_process(mixture))
 

@@ -96,6 +96,22 @@ class TestValidate:
         assert code == 2
         assert "broken.json" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "--file"),
+            ("validate", "sep", "--params"),
+            ("entropy", "ocb", "--instruments"),
+            ("entropy", "ocb", "--inputs"),
+        ],
+    )
+    def test_directory_as_input_file_exit_2(self, capsys, tmp_path, argv):
+        # unchecked, IsADirectoryError escaped main with a traceback; a file
+        # without read permission takes the same path (untested: a superuser reads it)
+        code, out, err = run_cli(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n" and out == ""
+
     def test_infeasible_sep_params_exit_1(self, capsys, tmp_path):
         path = tmp_path / "infeasible.json"
         path.write_text(json.dumps({"q": 0.5, "c_0zz": 0.4}))

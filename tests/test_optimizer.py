@@ -42,8 +42,6 @@ from procmat.process import (
     BLOCK_WORDS,
     COORDINATES,
     SEP_BLOCKS,
-    SEP_WORDS_AB,
-    SEP_WORDS_BA,
     FeixParams,
     InfeasibleParamsError,
     SepParams,
@@ -66,6 +64,9 @@ from oracles import (
     slack_max,
     word_matrix,
 )
+
+# each block's 4-letter Pauli words, in coordinate order
+SEP_WORDS_AB, SEP_WORDS_BA = (tuple(c.word for c in COORDINATES[span]) for span in BLOCK_SPANS)
 
 # coordinate indices used repeatedly: 0 is q, then the first block's
 # coefficients in (alpha, i, j) lexicographic order, then the second block's
@@ -275,7 +276,7 @@ class TestSlackMax:
             assert lam >= best - 1e-12
             assert lam >= lam0 == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-15)
             assert lam == pytest.approx(np.linalg.eigvalsh(block + s * word)[0], abs=1e-15)
-            lo, hi = _line_interval(block, word, t0, 1e-10, "block")
+            lo, hi = _line_interval(block, word, t0, 1e-10)
             assert lo <= t0 + s <= hi
         # measured 4.0 eigh per line; without the Newton steps it takes about 19
         assert sum(probes) <= 6 * len(probes)
@@ -290,11 +291,10 @@ class TestSlackMax:
         assert lam0 == pytest.approx(0.25 - abs(a) - abs(b), abs=1e-15)
 
     def test_infeasible_incumbent_raises_naming_the_block(self):
-        cfg = OptimizerConfig()
-        engine = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-        x = SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}).vector()
+        # checked once, at the entry, before centering starts
+        p = SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4})
         with pytest.raises(InfeasibleParamsError) as err:
-            _center_unranked(x, engine, cfg)
+            coordinate_ascent(p, OptimizerConfig())
         assert err.value.block == "B<A"
         assert err.value.min_eig == pytest.approx(0.25 - 0.4, abs=1e-12)
         assert str(err.value) == str(InfeasibleParamsError("B<A", err.value.min_eig))
@@ -526,7 +526,7 @@ def _objective_at(p, objective="H_AB"):
 
 class TestCoordinateAscent:
     def test_monotone_trace_and_feasible_result(self):
-        cfg = OptimizerConfig(restarts=1, seed=31, record_trace=True)
+        cfg = OptimizerConfig(restarts=1, seed=31)
         init = random_feasible_init(31)
         result = multistart(cfg)
         trace = result.traces[0]
@@ -1032,6 +1032,63 @@ class TestFinalBlockSlack:
         assert (best.min_eig_ab, best.min_eig_ba) == pytest.approx(pair, rel=0, abs=1e-14)
         for record in result.records:
             assert min(record.min_eig_ab, record.min_eig_ba) >= -cfg.psd_tol
+
+
+class TestOneFeasibilityRule:
+    """A separable point is checked once, by ``process.require_feasible``,
+    at every public entry that takes one: either block's infeasibility
+    raises, for every coordinate, q included."""
+
+    # the A<B block's smallest eigenvalue is 1/4 - 0.4 at c_0zz = 0.4, the
+    # B<A block's at cp_x0x = 0.4
+    BAD_AB = SepParams.from_flat_map({"q": 0.5, "c_0zz": 0.4})
+    BAD_BA = SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4})
+
+    @staticmethod
+    def raised(call):
+        with pytest.raises(InfeasibleParamsError) as err:
+            call()
+        return err.value.block, err.value.min_eig
+
+    def test_q_line_at_an_infeasible_point_raises(self):
+        # unchecked, feasible_interval returned (0, 1) and line_maximize
+        # reported 1.7657 bits at q = 0.9375
+        for p, block in ((self.BAD_AB, "A<B"), (self.BAD_BA, "B<A")):
+            for call in (
+                lambda: feasible_interval(p, 0),
+                lambda: line_maximize(p, 0, (0.0, 1.0)),
+            ):
+                name, min_eig = self.raised(call)
+                assert name == block
+                assert min_eig == pytest.approx(0.25 - 0.4, abs=1e-12)
+
+    def test_a_coordinate_of_the_feasible_block_names_the_other_block(self):
+        # unchecked, feasible_interval(BAD_BA, 9) returned (-0.25, 0.25) and
+        # line_maximize reported 1.7030 bits
+        cases = ((self.BAD_BA, COORD_C_0ZZ, "B<A"), (self.BAD_AB, COORD_CP_Z0X, "A<B"))
+        for p, coord, block in cases:
+            for call in (
+                lambda: feasible_interval(p, coord),
+                lambda: line_maximize(p, coord, (-0.1, 0.1)),
+            ):
+                assert self.raised(call)[0] == block
+
+    @pytest.mark.parametrize("bad", ["BAD_AB", "BAD_BA"])
+    def test_every_entry_raises_the_same_error(self, bad):
+        p = getattr(self, bad)
+        cfg = small_cfg(restarts=2, coords=(COORD_C_0ZZ,), base_params=p)
+        calls = (
+            lambda: random_feasible_init(1, base=p),
+            lambda: coordinate_ascent(p, small_cfg()),
+            lambda: multistart(cfg, jobs=1),
+            lambda: multistart(cfg, jobs=2),
+            lambda: feasible_interval(p, COORD_C_0ZZ),
+            lambda: line_maximize(p, COORD_C_0ZZ, (0.0, 0.0)),
+            lambda: separable_from_params(p),
+        )
+        errors = {self.raised(call) for call in calls}
+        expected = SEP_BLOCKS[bad == "BAD_BA"][0], sep_feasibility(p)[bad == "BAD_BA"]
+        assert errors == {expected}
 
 
 class TestCoordinateRange:

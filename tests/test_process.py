@@ -19,19 +19,17 @@ from procmat.operators import (
 from procmat.process import (
     BLOCK_WORDS,
     COORDINATES,
+    BLOCK_SPANS,
     SEP_BLOCKS,
-    SEP_WORDS_AB,
-    SEP_WORDS_BA,
     FeixParams,
     InfeasibleParamsError,
     SepParams,
     block_min_eigs,
+    block_operator,
     feix_process,
     maximally_mixed,
     nonsignalling_part,
     ocb_process,
-    ordered_block_ab,
-    ordered_block_ba,
     sep_feasibility,
     separable_from_params,
     validate_process,
@@ -42,6 +40,9 @@ from procmat.validation import VALIDITY_TOL
 from oracles import block_matrix
 
 SQRT2 = np.sqrt(2)
+
+# each block's 4-letter Pauli words, in coordinate order
+SEP_WORDS_AB, SEP_WORDS_BA = (tuple(c.word for c in COORDINATES[span]) for span in BLOCK_SPANS)
 
 
 def random_feasible_params(rng, scale=0.05):
@@ -183,7 +184,7 @@ class TestSeparableFamily:
 
     def test_ab_block_fixed_under_bo_replacement(self, rng):
         p = random_feasible_params(rng)
-        block = ordered_block_ab(p)
+        block = block_operator(p.vector(), 0)
         assert trace_replace(block, ["B_O"]).allclose(block, tol=1e-12)
 
     def test_blocks_are_valid_processes(self, rng):
@@ -259,8 +260,8 @@ class TestSeparableFamily:
         for _ in range(5):
             p = random_feasible_params(rng)
             for block, words, coeffs in (
-                (ordered_block_ab(p), SEP_WORDS_AB, p.c),
-                (ordered_block_ba(p), SEP_WORDS_BA, p.c_prime),
+                (block_operator(p.vector(), 0), SEP_WORDS_AB, p.c),
+                (block_operator(p.vector(), 1), SEP_WORDS_BA, p.c_prime),
             ):
                 oracle = block_matrix(words, coeffs.ravel())
                 np.testing.assert_allclose(block.matrix, oracle, rtol=0, atol=1e-15)
@@ -329,11 +330,11 @@ class TestBlockPencil:
 
     @staticmethod
     def full_min_eigs(p):
-        return min_eigenvalue(ordered_block_ab(p)), min_eigenvalue(ordered_block_ba(p))
+        return tuple(min_eigenvalue(block_operator(p.vector(), b)) for b in range(2))
 
     def test_pencil_is_the_block_off_its_identity_factor(self):
         p = random_feasible_init(8)
-        blocks = (ordered_block_ab(p), ordered_block_ba(p))
+        blocks = (block_operator(p.vector(), 0), block_operator(p.vector(), 1))
         for b, (block, (_, at)) in enumerate(zip(blocks, SEP_BLOCKS)):
             # the block is the pencil with I/2 x 2 put in at its identity factor
             reduced = np.trace(block.matrix.reshape((2,) * 8), axis1=at, axis2=4 + at) / 2
