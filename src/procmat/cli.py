@@ -477,9 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     optimize = commands.add_parser("optimize", help="maximize an entropy objective")
     optimize.add_argument("mode", choices=["sep", "feix"])
-    optimize.add_argument("--restarts", type=int, default=100)
-    optimize.add_argument("--seed", type=int, default=OptimizerConfig().seed)
-    optimize.add_argument("--tol", type=float, default=1e-6, help="sweep termination tolerance")
+    optimize.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    optimize.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    optimize.add_argument(
+        "--tol", type=float, default=OptimizerConfig.sweep_tol, help="sweep termination tolerance"
+    )
     optimize.add_argument("--objective", choices=list(OBJECTIVES), default="H_AB")
     optimize.add_argument(
         "--jobs", type=int, default=1, help="parallel restart processes (at most one per restart)"

@@ -40,6 +40,7 @@ The Feix plane W(q, eps) is stated once, in ``process``: its words
 ``FEIX_WORDS_AB``/``FEIX_WORD_BA`` and its closed-form smallest eigenvalue
 ``feix_min_eig`` and edges ``feix_eps_max``/``feix_q_range``, so every
 feasibility test on the plane is a few flops, with no eigensolve or search.
+Its joint, ``_Engine.feix_joint``, reads two rows of the separable map.
 The 101 x 101 grid is one vectorized evaluation of that formula and one
 ``stats.objective`` call on the stacked joints of its feasible points.
 
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -124,7 +125,8 @@ def _block_of(coord: int) -> int:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Free constants of the search procedure.
+    """Free constants of the search procedure; ``line_tol`` (line-search
+    resolution) and ``psd_tol`` (PSD tolerance) are class constants.
 
     ``coords`` restricts the search to a subset of coordinate indices
     (0 is q, 1-36 the first block's coefficients in lexicographic order,
@@ -133,11 +135,12 @@ class OptimizerConfig:
     q = 1/2) and restarts randomize only the active coordinates.
     """
 
+    line_tol: ClassVar[float] = 1e-7
+    psd_tol: ClassVar[float] = VALIDITY_TOL
+
     restarts: int = 100
     sweep_tol: float = 1e-6
     max_sweeps: int = 500
-    line_tol: float = 1e-7
-    psd_tol: float = VALIDITY_TOL
     seed: int = DEFAULT_SEED
     objective: str = "H_AB"
     instrument_a: Instrument = field(default_factory=lambda: gyni_strategy("A"))
@@ -149,8 +152,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        for name in ("sweep_tol", "line_tol", "psd_tol"):
-            require_positive_finite(name, getattr(self, name))
+        require_positive_finite("sweep_tol", self.sweep_tol)
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
         if self.objective not in OBJECTIVES:
@@ -207,11 +209,11 @@ class _Engine:
     ``stats.party_table`` arrays read here.  So each of the 72 coefficients
     contributes a fixed per-unit increment to the joint table, ``rows[k]``
     for coordinate k (row 0, for q, is zero); evaluating the objective at a
-    parameter point is then two 36-element dot products.
+    parameter point is then two 36-element dot products.  The Feix plane's
+    rows are ``feix_sym`` (c_0xx + c_0yy + c_0zz)/12 and ``feix_ba`` cp_zxz/4.
     """
 
     def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
-        self.inputs = inputs
         t_a, t_b = party_table(instrument_a), party_table(instrument_b)
         self.n_a, self.n_b = t_a.shape[2], t_b.shape[2]
         p_xy = inputs.probs
@@ -228,6 +230,10 @@ class _Engine:
         # each block's increment rows: its span of rows, blocks as in SEP_BLOCKS
         self.incs = tuple(self.rows[span] for span in BLOCK_SPANS)
         self._base_flat = base.reshape(-1)
+        rows = self.rows.reshape(-1, *base.shape)
+        words = [coord.word for coord in COORDINATES]
+        self.feix_sym = sum(rows[words.index(w)] for w in FEIX_WORDS_AB) / 12.0
+        self.feix_ba = rows[words.index(FEIX_WORD_BA)] / 4.0
 
     def is_flat(self, coord: int, q: float) -> bool:
         """Whether moving block coordinate ``coord`` leaves the joint
@@ -240,6 +246,14 @@ class _Engine:
         q, (ab, ba), (inc_a, inc_b) = float(x[0]), BLOCK_SPANS, self.incs
         flat = self._base_flat + q * (x[ab] @ inc_a) + (1.0 - q) * (x[ba] @ inc_b)
         return flat.reshape(self.n_a, self.n_b)
+
+    def feix_joint(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
+        """The joint (a, b) distribution at the Feix point (q, eps) of
+        ``process.feix_process``, or a stack of them indexed by the broadcast
+        shape of q and eps."""
+        q = np.asarray(q)[..., None, None]
+        eps = np.asarray(eps)[..., None, None]
+        return self.base_joint + q * self.feix_sym + (1.0 - q + eps) * self.feix_ba
 
     def direction(self, x: np.ndarray, coord: int) -> np.ndarray:
         """Derivative of the joint in one coordinate at the search point
@@ -668,27 +682,6 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
 _FEIX_GRID_STEP = 0.01
 
 
-class _FeixEngine:
-    """The joint distribution over the Feix plane of ``process.feix_process``,
-    from the ``_Engine`` rows of its words."""
-
-    def __init__(self, instrument_a: Instrument, instrument_b: Instrument, inputs: InputDist):
-        engine = _Engine(instrument_a, instrument_b, inputs)
-        self._base = engine.base_joint
-        # the Feix words are separable coordinates: c_0xx, c_0yy, c_0zz and cp_zxz
-        rows = engine.rows.reshape(-1, *self._base.shape)
-        words = [coord.word for coord in COORDINATES]
-        self._inc_sym = sum(rows[words.index(w)] for w in FEIX_WORDS_AB) / 12.0
-        self._inc_ba = rows[words.index(FEIX_WORD_BA)] / 4.0
-
-    def joint(self, q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
-        """The joint (a, b) distribution, or a stack of them indexed by the
-        broadcast shape of q and eps."""
-        q = np.asarray(q)[..., None, None]
-        eps = np.asarray(eps)[..., None, None]
-        return self._base + q * self._inc_sym + (1.0 - q + eps) * self._inc_ba
-
-
 def feix_maximize(
     cfg: OptimizerConfig | None = None,
 ) -> tuple[FeixParams, float]:
@@ -701,16 +694,20 @@ def feix_maximize(
     row-major (q, eps) order wins.  Coordinate golden-section refinement
     polishes it, between the edges ``process.feix_q_range`` and
     ``feix_eps_max`` at -_ENDPOINT_SLACK * psd_tol, as in :func:`_line_interval`.
+    Its one-coordinate moves cannot follow the curved edge eps = feix_eps_max(q):
+    there I_AB can be missed (by up to 5.5e-5 bits under seeded measure-and-
+    prepare instruments), the concave objectives measured no gap, and where
+    eps is inert (GYNI) the edge brings nothing.
     """
     cfg = cfg or OptimizerConfig()
     value = partial(objective, cfg.objective)
-    eng = _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
+    eng = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
 
     steps = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
     qq, ee = np.meshgrid(steps, steps, indexing="ij")
     feasible = feix_min_eig(qq, ee) >= -cfg.psd_tol
     q_grid, e_grid = qq[feasible], ee[feasible]
-    grid_values = value(eng.joint(q_grid, e_grid))
+    grid_values = value(eng.feix_joint(q_grid, e_grid))
     k = int(np.argmax(grid_values))
     best_q, best_e, best_v = float(q_grid[k]), float(e_grid[k]), float(grid_values[k])
 
@@ -719,12 +716,12 @@ def feix_maximize(
         moved = 0.0
         lo_q, hi_q = feix_q_range(best_e, slack) or (best_q, best_q)
         lo_q, hi_q = min(lo_q, best_q), max(hi_q, best_q)
-        tq, vq = _golden_max(lambda t: value(eng.joint(t, best_e)), lo_q, hi_q, cfg.line_tol)
+        tq, vq = _golden_max(lambda t: value(eng.feix_joint(t, best_e)), lo_q, hi_q, cfg.line_tol)
         if vq > best_v:
             moved = max(moved, abs(tq - best_q))
             best_q, best_v = tq, vq
         top = feix_eps_max(best_q, slack)
-        te, ve = _golden_max(lambda t: value(eng.joint(best_q, t)), 0.0, top, cfg.line_tol)
+        te, ve = _golden_max(lambda t: value(eng.feix_joint(best_q, t)), 0.0, top, cfg.line_tol)
         if ve > best_v:
             moved = max(moved, abs(te - best_e))
             best_e, best_v = te, ve
@@ -739,8 +736,8 @@ def separable_floor(cfg: OptimizerConfig | None = None) -> float:
     separable with the same non-signalling part, so this bounds the separable
     maximum from below."""
     cfg = cfg or OptimizerConfig()
-    eng = _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-    return float(np.max(objective(cfg.objective, eng.joint(np.linspace(0.0, 1.0, 101), 0.0))))
+    eng = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
+    return float(np.max(objective(cfg.objective, eng.feix_joint(np.linspace(0.0, 1.0, 101), 0.0))))
 
 
 def feix_eps_inert(cfg: OptimizerConfig | None = None) -> bool:
@@ -750,4 +747,4 @@ def feix_eps_inert(cfg: OptimizerConfig | None = None) -> bool:
     Bob's operators have no X (x) Z term on (B_I, B_O).  Then no point of
     the plane beats its eps = 0 edge."""
     cfg = cfg or OptimizerConfig()
-    return not _FeixEngine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)._inc_ba.any()
+    return not _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs).feix_ba.any()

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from procmat.cli import main
+from procmat.cli import build_parser, main
 from procmat.instruments import gyni_strategy
+from procmat.optimizer import OptimizerConfig
 from procmat.process import FeixParams, feix_process
 from procmat.stats import InputDist, cond_probs, joint_dist, objective
 
@@ -385,6 +386,11 @@ class TestGame:
 
 
 class TestOptimize:
+    def test_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["optimize", "sep"])
+        cfg = OptimizerConfig()
+        assert (args.restarts, args.tol, args.seed) == (cfg.restarts, cfg.sweep_tol, cfg.seed)
+
     def test_feix_mode(self, capsys, tmp_path):
         out_path = tmp_path / "feix.json"
         code, out, _ = run_cli(

@@ -23,7 +23,6 @@ from procmat.optimizer import (
     _center_unranked,
     _coord_line,
     _Engine,
-    _FeixEngine,
     _line_fn,
     _line_interval,
     _slack_max,
@@ -50,10 +49,12 @@ from procmat.process import (
     feix_min_eig,
     feix_process,
     feix_q_range,
+    require_feasible,
     sep_feasibility,
     separable_from_params,
 )
 from procmat.stats import InputDist, cond_probs, entropies, joint_dist, objective, party_table
+from procmat.validation import VALIDITY_TOL
 
 from oracles import (
     bisect_interval,
@@ -352,9 +353,11 @@ class TestCarriedCentering:
             solves.clear()
 
     def test_infeasible_block_without_flat_coordinates_not_checked(self):
-        # only blocks that hold a flat coordinate are built and checked, as
-        # when each line checked its own block; the zero A<B block is already
-        # at its maximum slack along the line, so one pass moves nothing
+        # centering builds only the blocks that hold a flat coordinate and
+        # checks none (the public entry's require_feasible does); the
+        # infeasible B<A block is never read, and the zero A<B block is
+        # already at its maximum slack along the line, so one pass moves
+        # nothing
         engine = TestFlatCoordinates().engine()
         x = SepParams.from_flat_map({"q": 0.5, "cp_x0x": 0.4}).vector()
         cfg = OptimizerConfig(coords=(COORD_C_0ZZ - 1,))
@@ -672,7 +675,7 @@ class TestFeixSectors:
 
     @pytest.fixture(scope="class")
     def engine(self):
-        return _FeixEngine(gyni_strategy("A"), gyni_strategy("B"), InputDist.uniform())
+        return _Engine(gyni_strategy("A"), gyni_strategy("B"), InputDist.uniform())
 
     @staticmethod
     def full_min_eig(q, eps):
@@ -793,9 +796,10 @@ class TestFeixSectors:
 
     def test_batched_joint_equals_single_points_bitwise(self, engine, rng):
         q, eps = rng.uniform(size=30), rng.uniform(size=30)
-        stacked = engine.joint(q, eps)
+        stacked = engine.feix_joint(q, eps)
         for k in range(30):
-            assert stacked[k].tobytes() == engine.joint(float(q[k]), float(eps[k])).tobytes()
+            single = engine.feix_joint(float(q[k]), float(eps[k]))
+            assert stacked[k].tobytes() == single.tobytes()
 
 
 class TestPartyTables:
@@ -844,12 +848,21 @@ class TestConfigValidation:
             OptimizerConfig(coords=(99,))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["sweep_tol", "line_tol", "psd_tol"])
+    @pytest.mark.parametrize("name", ["sweep_tol"])
     def test_non_finite_tolerance_rejected(self, name, value):
         # NaN fails every comparison: unchecked, sweep_tol = nan ran all
-        # max_sweeps sweeps and psd_tol = nan accepted every block
+        # max_sweeps sweeps
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             OptimizerConfig(restarts=1, max_sweeps=5, **{name: value})
+
+    def test_line_and_psd_tolerances_are_class_constants(self):
+        # no search sets them, so the constructor takes neither
+        for name, value in (("line_tol", 1e-6), ("psd_tol", 1e-9)):
+            with pytest.raises(TypeError, match=name):
+                OptimizerConfig(**{name: value})
+        assert OptimizerConfig().line_tol == 1e-7
+        assert OptimizerConfig().psd_tol is VALIDITY_TOL
+        assert len(dataclasses.fields(OptimizerConfig)) == 10
 
 
 #: values of a fixed seeded configuration, pinned so that a change which keeps
@@ -973,14 +986,50 @@ class TestFeixPlaneRows:
         if kind == "dirichlet":
             inputs = InputDist(rng.dirichlet(np.ones(4)).reshape(2, 2))
         alice, bob = gyni_strategy("A"), _bob_measuring_x()
-        engine = _FeixEngine(alice, bob, inputs)
-        assert engine._inc_ba.any()
+        engine = _Engine(alice, bob, inputs)
+        assert engine.feix_ba.any()
         for _ in range(20):
             q = rng.uniform()
             eps = rng.uniform(0.0, feix_eps_max(q, 1e-10))
             table = cond_probs(feix_process(FeixParams(q, eps)), alice, bob)
             np.testing.assert_allclose(
-                engine.joint(q, eps), joint_dist(table, inputs), rtol=0, atol=1e-14
+                engine.feix_joint(q, eps), joint_dist(table, inputs), rtol=0, atol=1e-14
+            )
+
+
+class TestFeixSeparableEdge:
+    """The claim ``separable_floor`` rests on: the Feix plane's eps = 0 edge
+    is the separable point q, c_0xx = c_0yy = c_0zz = 1/12, cp_zxz = 1/4."""
+
+    @staticmethod
+    def edge_point(q):
+        twelfth = 1.0 / 12.0
+        coeffs = {"c_0xx": twelfth, "c_0yy": twelfth, "c_0zz": twelfth, "cp_zxz": 0.25}
+        return SepParams.from_flat_map({"q": q, **coeffs})
+
+    def test_edge_point_is_feasible_and_its_mixture_is_the_plane(self):
+        for q in np.linspace(0.0, 1.0, 11):
+            p = self.edge_point(q)
+            # the edge lies on the PSD boundary: both pencils read a smallest
+            # eigenvalue within 3e-17 of 0
+            require_feasible(p.vector(), VALIDITY_TOL)
+            np.testing.assert_allclose(
+                separable_from_params(p).mixture.op.matrix,
+                feix_process(FeixParams(q, 0.0)).op.matrix,
+                rtol=0, atol=1e-15,
+            )
+
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+    @pytest.mark.parametrize("bob", [gyni_strategy("B"), _bob_measuring_x()], ids=["gyni", "x"])
+    def test_engine_joint_on_the_edge_is_the_plane_joint(self, kind, bob):
+        inputs = InputDist.uniform()
+        if kind == "dirichlet":
+            inputs = InputDist(np.array(SEEDED["feix_dirichlet"]["inputs"]))
+        engine = _Engine(gyni_strategy("A"), bob, inputs)
+        for q in np.linspace(0.0, 1.0, 11):
+            np.testing.assert_allclose(
+                engine.joint(self.edge_point(q).vector()), engine.feix_joint(q, 0.0),
+                rtol=0, atol=1e-15,
             )
 
 
@@ -1148,7 +1197,6 @@ class TestPsdTolChecked:
     def test_one_message_for_the_config_and_the_entry_points(self):
         nan = math.nan
         calls = (
-            lambda: OptimizerConfig(psd_tol=nan),
             lambda: random_feasible_init(1, nan),
             lambda: feasible_interval(SepParams.zeros(), COORD_C_0ZZ, nan),
             lambda: separable_from_params(SepParams.zeros(), nan),
