@@ -848,11 +848,16 @@ class TestConfigValidation:
             OptimizerConfig(coords=(99,))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["sweep_tol"])
+    @pytest.mark.parametrize("name", ["line_tol", "psd_tol", "sweep_tol"])
     def test_non_finite_tolerance_rejected(self, name, value):
         # NaN fails every comparison: unchecked, sweep_tol = nan ran all
-        # max_sweeps sweeps
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        # max_sweeps sweeps; line_tol and psd_tol are class constants, so
+        # the constructor refuses any value for them
+        if name == "sweep_tol":
+            error, message = ValueError, f"{name} must be positive and finite"
+        else:
+            error, message = TypeError, f"unexpected keyword argument '{name}'"
+        with pytest.raises(error, match=message):
             OptimizerConfig(restarts=1, max_sweeps=5, **{name: value})
 
     def test_line_and_psd_tolerances_are_class_constants(self):
