@@ -38,11 +38,11 @@ order.  The generator is numpy's default PCG64.  Each restart's
 
 The Feix plane W(q, eps) is stated once, in ``process``: its words
 ``FEIX_WORDS_AB``/``FEIX_WORD_BA`` and its closed-form smallest eigenvalue
-``feix_min_eig`` and edges ``feix_eps_max``/``feix_q_range``, so every
-feasibility test on the plane is a few flops, with no eigensolve or search.
-Its joint, ``_Engine.feix_joint``, reads two rows of the separable map.
-The 101 x 101 grid is one vectorized evaluation of that formula and one
-``stats.objective`` call on the stacked joints of its feasible points.
+``feix_min_eig`` and edge ``feix_eps_max(q)``.  Its joint,
+``_Engine.feix_joint``, reads two rows of the separable map.  The search runs
+on the unit square, eps = r * feix_eps_max(q), whose image is the plane's PSD
+region: every point it reads is feasible by construction, and its
+101 x 32 grid is one ``stats.objective`` call on the stacked joints.
 
 A coordinate's one address is its index k in ``process.COORDINATES`` (q, then
 the 36 + 36 block coefficients): the search point is the vector x of
@@ -75,8 +75,6 @@ from .process import (
     block_matrix,
     block_min_eigs,
     feix_eps_max,
-    feix_min_eig,
-    feix_q_range,
     require_feasible,
 )
 from .stats import CONCAVE_OBJECTIVES, OBJECTIVES, InputDist, objective, party_table
@@ -660,7 +658,6 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
             outcomes = list(pool.map(_run_restart, work))
     else:
         outcomes = [_run_restart(item) for item in work]
-    outcomes.sort(key=lambda item: item[0].restart)
     records = tuple(record for record, _, _ in outcomes)
     best_restart, best_value, best_params = None, -math.inf, None
     for record, params, _ in outcomes:
@@ -680,6 +677,9 @@ def multistart(cfg: OptimizerConfig | None = None, jobs: int = 1) -> OptimizerRe
 # ---------------------------------------------------------------------------
 
 _FEIX_GRID_STEP = 0.01
+#: r values of the grid: the eps spacing is at most feix_eps_max's peak,
+#: 4/sqrt(3) - 2 = 0.3094, over 31, below _FEIX_GRID_STEP
+_FEIX_R_POINTS = 32
 
 
 def feix_maximize(
@@ -687,47 +687,45 @@ def feix_maximize(
 ) -> tuple[FeixParams, float]:
     """Maximize the objective over the PSD region of the Feix family.
 
-    A coarse grid (step 0.01 in q and eps) locates the basin: its feasibility
-    is one vectorized evaluation of the closed-form smallest eigenvalue
-    ``process.feix_min_eig``, and the objective at all feasible points is one
-    ``stats.objective`` call on their stacked joints; the first maximum in
-    row-major (q, eps) order wins.  Coordinate golden-section refinement
-    polishes it, between the edges ``process.feix_q_range`` and
-    ``feix_eps_max`` at -_ENDPOINT_SLACK * psd_tol, as in :func:`_line_interval`.
-    Its one-coordinate moves cannot follow the curved edge eps = feix_eps_max(q):
-    there I_AB can be missed (by up to 5.5e-5 bits under seeded measure-and-
-    prepare instruments), the concave objectives measured no gap, and where
-    eps is inert (GYNI) the edge brings nothing.
+    The search runs on the unit square (q, r), with eps = r * feix_eps_max(q)
+    at -_ENDPOINT_SLACK * psd_tol, as in :func:`_line_interval`: the square's
+    image is the plane's PSD region, so every point read is feasible, and at
+    r = 1 a q move slides along the curved edge.  A coarse grid (101 q by 32 r)
+    locates the basin in one ``stats.objective`` call on the stacked joints;
+    the first maximum in row-major (q, r) order wins.  Coordinate
+    golden-section refinement over [0, 1] polishes it; the r line's
+    tolerance is line_tol / feix_eps_max(q), so both lines resolve line_tol
+    in q and in eps.  Over 40 seeded measure-and-prepare instrument pairs a
+    20,001-point scan of the edge beats no result by more than 1e-12 bits.
     """
     cfg = cfg or OptimizerConfig()
     value = partial(objective, cfg.objective)
     eng = _Engine(cfg.instrument_a, cfg.instrument_b, cfg.inputs)
-
-    steps = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
-    qq, ee = np.meshgrid(steps, steps, indexing="ij")
-    feasible = feix_min_eig(qq, ee) >= -cfg.psd_tol
-    q_grid, e_grid = qq[feasible], ee[feasible]
-    grid_values = value(eng.feix_joint(q_grid, e_grid))
-    k = int(np.argmax(grid_values))
-    best_q, best_e, best_v = float(q_grid[k]), float(e_grid[k]), float(grid_values[k])
-
     slack = _ENDPOINT_SLACK * cfg.psd_tol
+
+    def joint(q, r):
+        return eng.feix_joint(q, r * feix_eps_max(q, slack))
+
+    qs = np.arange(0.0, 1.0 + 1e-12, _FEIX_GRID_STEP)
+    qq, rr = np.meshgrid(qs, np.linspace(0.0, 1.0, _FEIX_R_POINTS), indexing="ij")
+    grid_values = value(joint(qq.ravel(), rr.ravel()))
+    k = int(np.argmax(grid_values))
+    best_q, best_r, best_v = float(qq.flat[k]), float(rr.flat[k]), float(grid_values[k])
+
     for _ in range(60):
         moved = 0.0
-        lo_q, hi_q = feix_q_range(best_e, slack) or (best_q, best_q)
-        lo_q, hi_q = min(lo_q, best_q), max(hi_q, best_q)
-        tq, vq = _golden_max(lambda t: value(eng.feix_joint(t, best_e)), lo_q, hi_q, cfg.line_tol)
+        tq, vq = _golden_max(lambda t: value(joint(t, best_r)), 0.0, 1.0, cfg.line_tol)
         if vq > best_v:
             moved = max(moved, abs(tq - best_q))
             best_q, best_v = tq, vq
-        top = feix_eps_max(best_q, slack)
-        te, ve = _golden_max(lambda t: value(eng.feix_joint(best_q, t)), 0.0, top, cfg.line_tol)
-        if ve > best_v:
-            moved = max(moved, abs(te - best_e))
-            best_e, best_v = te, ve
+        top = float(feix_eps_max(best_q, slack))
+        tr, vr = _golden_max(lambda t: value(joint(best_q, t)), 0.0, 1.0, cfg.line_tol / top)
+        if vr > best_v:
+            moved = max(moved, abs(tr - best_r) * top)
+            best_r, best_v = tr, vr
         if moved < cfg.line_tol * 10:
             break
-    return FeixParams(best_q, best_e), best_v
+    return FeixParams(best_q, best_r * top), best_v
 
 
 def separable_floor(cfg: OptimizerConfig | None = None) -> float:

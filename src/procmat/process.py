@@ -382,9 +382,9 @@ def feix_min_eig(q: float | np.ndarray, eps: float | np.ndarray) -> np.ndarray:
     return 0.25 - a + np.minimum(2.0 * a - b, -np.hypot(2.0 * a, b))
 
 
-def feix_eps_max(q: float, slack: float) -> float:
+def feix_eps_max(q: float | np.ndarray, slack: float) -> np.ndarray:
     """The eps where ``feix_min_eig(q, eps) = -slack``, for q in [0, 1] and
-    slack >= 0: the plane's edge at fixed q.
+    slack >= 0: the plane's edge at fixed q, at each q of a broadcast array.
 
     There a = q/12 and b = (1 - q + eps)/4 are >= 0, so the branch 2a - b is
     never below -hypot(2a, b) and the smallest eigenvalue 1/4 - a - hypot(2a, b)
@@ -392,6 +392,8 @@ def feix_eps_max(q: float, slack: float) -> float:
     (1 - q), which is >= 0: at eps = 0, (1/4 - a)^2 - 4a^2 - b^2 = q(1 - q)/12,
     so the eps = 0 edge, the separable mixture, is feasible.  The factored form
     sqrt((1 - q + 4 slack)(1 + q/3 + 4 slack)) - (1 - q) stays >= 0 in floats.
+    So the plane's region with ``feix_min_eig >= -slack`` is the image of the
+    unit square under (q, r) -> (q, r * feix_eps_max(q, slack)).
 
     An endpoint takes slack = psd_tol / 2: at the root for psd_tol = 1e-10
     the process's 16 x 16 eigensolve reads up to 2.7e-16 below -psd_tol
@@ -399,26 +401,7 @@ def feix_eps_max(q: float, slack: float) -> float:
     the edge is flat this falls short, within the tolerance band: at q = 1,
     eps = 1.63e-5 against 2.31e-5.
     """
-    return math.sqrt((1.0 - q + 4.0 * slack) * (1.0 + q / 3.0 + 4.0 * slack)) - (1.0 - q)
-
-
-def feix_q_range(eps: float, slack: float) -> tuple[float, float] | None:
-    """The q in [0, 1] with ``feix_min_eig(q, eps) >= -slack``, for eps >= 0
-    and slack >= 0, or None where there are none.
-
-    With c = 1/4 + slack and e = 1 + eps, squaring the condition of
-    :func:`feix_eps_max` gives -q^2/12 + m q + c^2 - e^2/16 >= 0, m = e/8 - c/6,
-    true between the roots 6 (m -+ sqrt(m^2 + (c^2 - e^2/16) / 3)).  At
-    slack = 0 they are complex for eps above 4/sqrt(3) - 2 (about 0.3094).
-    """
-    c, e = 0.25 + slack, 1.0 + eps
-    m = e / 8.0 - c / 6.0
-    disc = m * m + (c * c - e * e / 16.0) / 3.0
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    lo, hi = max(6.0 * (m - root), 0.0), min(6.0 * (m + root), 1.0)
-    return (lo, hi) if lo <= hi else None
+    return np.sqrt((1.0 - q + 4.0 * slack) * (1.0 + q / 3.0 + 4.0 * slack)) - (1.0 - q)
 
 
 def feix_process(p: FeixParams) -> ProcessMatrix:
